@@ -34,8 +34,8 @@ from .models import (
     label,
     simulate,
 )
-from .sieve import DegenerateSeriesError, default_window, run_test
-from .spectral import BadWindowError, NonDivisibleError, local_periodogram, make_grid
+from .sieve import default_window, run_test
+from .spectral import local_periodogram, make_grid
 
 MIN_TEST_LENGTH = 32
 
@@ -465,7 +465,7 @@ def main(argv=None) -> int:
     except CliConfigError as exc:
         print(f"lsts: error: {exc}", file=sys.stderr)
         return 3
-    except (BadWindowError, NonDivisibleError, DegenerateSeriesError, ValueError) as exc:
+    except ValueError as exc:
         print(f"lsts: error: {exc}", file=sys.stderr)
         return 3
     except CliDataError as exc:

@@ -109,11 +109,14 @@ def _single_run(cfg: ExperimentConfig, index: int) -> tuple[int, float, tuple[bo
 
 
 def resolve_jobs(n_jobs: int | None = None) -> int:
-    """Worker count: explicit argument, else LSTS_THREADS, else 1."""
-    if n_jobs is not None:
-        return max(1, int(n_jobs))
-    env = os.environ.get("LSTS_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
+    """Worker count: explicit argument, else LSTS_THREADS, else 1; at most os.cpu_count()."""
+    if n_jobs is None:
+        env = os.environ.get("LSTS_THREADS", "").strip()
+        try:
+            n_jobs = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"LSTS_THREADS must be an integer, got {env!r}") from None
+    return max(1, min(int(n_jobs), os.cpu_count() or 1))
 
 
 def run_experiment(cfg: ExperimentConfig, n_jobs: int | None = None) -> ExperimentReport:

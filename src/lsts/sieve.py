@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter, lfiltic
 
-from ._seeds import MASK64, normal_generator
+from ._seeds import MASK64, normal_generator, normal_rows
 from .empirical import distance_values, sup_statistic
 from .spectral import (
     BadWindowError,
@@ -190,20 +190,33 @@ def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
     pgram = stationary_periodogram_all(x)
 
     orders = np.arange(p_min, p_max + 1)
-    trace = np.empty(len(orders))
-    sigmas = np.empty(len(orders))
-    for i, p in enumerate(orders):
-        coeffs = all_fits[p - 1]
-        sigma2 = _residual_variance(x, coeffs)
-        if not sigma2 > 0:
-            raise DegenerateSeriesError(f"residual variance vanished at order {p}")
-        poly = np.zeros(T)
-        poly[0] = 1.0
-        poly[1 : p + 1] = -coeffs
-        gain = np.abs(np.fft.rfft(poly)[1 : T // 2 + 1]) ** 2
-        f = sigma2 / (TWO_PI * gain)
-        trace[i] = np.sum(np.log(f) + pgram / f) / T + p / T
-        sigmas[i] = sigma2
+    P = len(orders)
+    coeffs = np.zeros((P, p_max))
+    for r, p in enumerate(orders):
+        coeffs[r, :p] = all_fits[p - 1]
+
+    # Residuals of every candidate order at once, element by element the same
+    # multiply/subtract sequence as _residual_variance; row r is valid from
+    # column orders[r] on, and lag j only touches the rows whose order is >= j.
+    resid = np.tile(x, (P, 1))
+    for j in range(1, p_max + 1):
+        lo = max(0, j - p_min)
+        resid[lo:, j:] -= coeffs[lo:, j - 1, None] * x[: T - j]
+    sigmas = np.empty(P)
+    for r, p in enumerate(orders):
+        z = resid[r, p:]
+        z -= z.mean()
+        sigmas[r] = z @ z / (T - p)
+    vanished = np.flatnonzero(~(sigmas > 0))
+    if vanished.size:
+        raise DegenerateSeriesError(f"residual variance vanished at order {orders[vanished[0]]}")
+
+    poly = np.zeros((P, T))
+    poly[:, 0] = 1.0
+    poly[:, 1 : p_max + 1] = -coeffs
+    gain = np.abs(np.fft.rfft(poly)[:, 1 : T // 2 + 1]) ** 2
+    f = sigmas[:, None] / (TWO_PI * gain)
+    trace = np.sum(np.log(f) + pgram / f, axis=1) / T + orders / T
 
     best = int(np.argmin(trace))
     p = int(orders[best])
@@ -245,9 +258,7 @@ def _replicate_statistics(
     """
     T = x.shape[0]
     p = fit.order
-    noise = np.empty((B, T - p))
-    for i in range(1, B + 1):
-        noise[i - 1] = normal_generator((seed ^ i) & MASK64).standard_normal(T - p)
+    noise = normal_rows([(seed ^ i) & MASK64 for i in range(1, B + 1)], T - p)
     noise *= np.sqrt(fit.sigma2)
     if p > 0:
         a_poly = _ar_poly(fit)

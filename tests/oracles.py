@@ -2,7 +2,10 @@
 
 Everything here is written as a literal transcription of the defining
 formulas (double/triple loops, explicit complex sums, direct linear solves),
-deliberately sharing no code path with the package implementations.
+deliberately sharing no code path with the package implementations.  The
+one exception is loop_aic_select, the per-order reference for the batched
+AIC: it reuses the package's autocovariance, Levinson fits, residual variance
+and periodogram, and checks only how the criterion is assembled over orders.
 """
 
 import cmath
@@ -11,6 +14,14 @@ import math
 import numpy as np
 
 from lsts.empirical import limit_covariance_h0
+from lsts.sieve import (
+    ArFit,
+    DegenerateSeriesError,
+    _levinson_all,
+    _residual_variance,
+    autocovariance,
+)
+from lsts.spectral import stationary_periodogram_all
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,6 +93,43 @@ def toeplitz_yule_walker(gamma, p):
         for j in range(p):
             G[i, j] = gamma[abs(i - j)]
     return np.linalg.solve(G, gamma[1 : p + 1])
+
+
+def loop_aic_select(x, p_min, p_max):
+    """Whittle-AIC order selection with one residual pass and one rfft per order."""
+    x = np.asarray(x, dtype=float)
+    T = x.shape[0]
+    gamma = autocovariance(x, p_max)
+    if gamma[0] == 0.0:
+        raise DegenerateSeriesError("constant series: autocovariance at lag 0 is zero")
+    all_fits = _levinson_all(gamma, p_max)
+    pgram = stationary_periodogram_all(x)
+
+    orders = np.arange(p_min, p_max + 1)
+    trace = np.empty(len(orders))
+    sigmas = np.empty(len(orders))
+    for i, p in enumerate(orders):
+        coeffs = all_fits[p - 1]
+        sigma2 = _residual_variance(x, coeffs)
+        if not sigma2 > 0:
+            raise DegenerateSeriesError(f"residual variance vanished at order {p}")
+        poly = np.zeros(T)
+        poly[0] = 1.0
+        poly[1 : p + 1] = -coeffs
+        gain = np.abs(np.fft.rfft(poly)[1 : T // 2 + 1]) ** 2
+        f = sigma2 / (TWO_PI * gain)
+        trace[i] = np.sum(np.log(f) + pgram / f) / T + p / T
+        sigmas[i] = sigma2
+
+    best = int(np.argmin(trace))
+    p = int(orders[best])
+    return ArFit(
+        order=p,
+        coeffs=all_fits[p - 1],
+        sigma2=float(sigmas[best]),
+        aic_trace=trace,
+        candidate_orders=orders,
+    )
 
 
 def limit_sup_samples(f, midpoints, frequencies, n_samples, seed):

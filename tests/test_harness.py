@@ -1,10 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from lsts import ExperimentConfig, StationaryAR, StationaryMA, TvAR1Sqrt, run_experiment
 from lsts._seeds import run_seed, splitmix64
+from lsts.harness import resolve_jobs
 
 
 class TestConfigValidation:
@@ -41,6 +43,31 @@ def small_report():
         model=StationaryAR(coeffs=(0.5,)), T=64, runs=50, N=8, B=100, alphas=(0.05, 0.10), seed=3
     )
     return cfg, run_experiment(cfg)
+
+
+class TestResolveJobs:
+    def test_default_and_explicit(self, monkeypatch):
+        monkeypatch.delenv("LSTS_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_jobs() == 1
+        assert resolve_jobs(3) == 3
+        assert resolve_jobs(0) == 1
+        monkeypatch.setenv("LSTS_THREADS", " 2 ")
+        assert resolve_jobs() == 2
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "4x"])
+    def test_non_integer_env_names_variable(self, monkeypatch, value):
+        monkeypatch.setenv("LSTS_THREADS", value)
+        with pytest.raises(ValueError, match="LSTS_THREADS"):
+            resolve_jobs()
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("LSTS_THREADS", "64")
+        assert resolve_jobs() == 3
+        assert resolve_jobs(64) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert resolve_jobs() == 1
 
 
 class TestRunExperiment:

@@ -13,8 +13,20 @@ from lsts import (
     simulate,
     yule_walker,
 )
-from lsts.sieve import ArFit, autocovariance, decide, order_statistic_index
-from oracles import toeplitz_yule_walker
+from lsts import sieve
+from lsts._seeds import MASK64, normal_generator, normal_rows
+from lsts.empirical import distance_values, sup_statistic
+from lsts.sieve import (
+    ArFit,
+    _replicate_statistics,
+    autocovariance,
+    decide,
+    default_order_range,
+    order_statistic_index,
+)
+from lsts.spectral import _block_periodograms, make_grid
+from oracles import loop_aic_select, toeplitz_yule_walker
+from scipy.signal import lfilter, lfiltic
 
 TWO_PI = 2.0 * np.pi
 
@@ -119,6 +131,47 @@ class TestAicSelect:
         with pytest.raises(DegenerateSeriesError):
             aic_select(np.full(128, 1.0), 1, 4)
 
+    @pytest.mark.parametrize("T", [64, 128, 512, 4096])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            StationaryAR(coeffs=(0.5, -0.3)),
+            StationaryMA(coeffs=(0.8,)),
+            StationaryAR(coeffs=(0.995,)),
+        ],
+        ids=["ar2", "ma1", "near-unit-root"],
+    )
+    def test_batched_matches_per_order_loop(self, T, model):
+        # bit-identical to one residual pass and one rfft per order, across
+        # levels and scales far from unit variance
+        rng = np.random.default_rng(T)
+        _, p_max = default_order_range(T)
+        for s in range(3):
+            scale = 10.0 ** rng.uniform(-5, 5)
+            shift = rng.normal() * 10.0 ** rng.uniform(-5, 5)
+            x = shift + scale * simulate(model, T, seed=1000 + s)
+            for p_min in (1, 3):
+                got = aic_select(x, p_min, p_max)
+                ref = loop_aic_select(x, p_min, p_max)
+                assert got.order == ref.order
+                assert got.sigma2 == ref.sigma2
+                assert np.array_equal(got.aic_trace, ref.aic_trace)
+                assert np.array_equal(got.candidate_orders, ref.candidate_orders)
+                assert np.array_equal(got.coeffs, ref.coeffs)
+
+    def test_vanishing_residual_variance_names_first_order(self, monkeypatch):
+        # x_t = 0.5 x_{t-1} + 1 holds exactly in floating point (x_t = 2 - 2^-t),
+        # so any fit with leading coefficient 0.5 and zeros after it leaves
+        # constant residuals; order 1 is fitted with 0.25 and keeps a positive
+        # variance, so the first vanishing order is 2
+        x = 2.0 - 2.0 ** -np.arange(48.0)
+        fits = [np.array([0.25]), np.array([0.5, 0.0]), np.array([0.5, 0.0, 0.0])]
+        monkeypatch.setattr(sieve, "_levinson_all", lambda gamma, p_max: fits[:p_max])
+        with pytest.raises(DegenerateSeriesError, match="vanished at order 2$"):
+            aic_select(x, 1, 3)
+        with pytest.raises(DegenerateSeriesError, match="vanished at order 3$"):
+            aic_select(x, 3, 3)
+
 
 class TestBootstrapReplicate:
     def test_zero_noise_collapse(self):
@@ -147,6 +200,48 @@ class TestBootstrapReplicate:
         out = bootstrap_replicate(x, fit, seed=1)
         assert np.array_equal(out[:3], x[:3])
         assert out.shape == x.shape
+
+
+STREAM_SEEDS = [0, 1, 2**63 + 5, 2**64 - 1]
+
+
+def _contract_series(x, fit, B, seed):
+    """Replicate series built straight from the documented stream contract:
+    replicate i draws normal_generator((seed ^ i) & MASK64) from counter 0."""
+    T, p = x.shape[0], fit.order
+    a_poly = np.r_[1.0, -fit.coeffs]
+    rows = []
+    for i in range(1, B + 1):
+        e = normal_generator((seed ^ i) & MASK64).standard_normal(T - p) * np.sqrt(fit.sigma2)
+        if p > 0:
+            tail, _ = lfilter([1.0], a_poly, e, zi=lfiltic([1.0], a_poly, x[p - 1 :: -1]))
+            e = np.concatenate([x[:p], tail])
+        rows.append(e)
+    return np.array(rows)
+
+
+class TestReplicateStream:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("n", [1, 63, 128])
+    def test_normal_rows_match_fresh_generators(self, seed, n):
+        B = 40
+        keys = [(seed ^ i) & MASK64 for i in range(1, B + 1)]
+        expected = np.array([normal_generator(k).standard_normal(n) for k in keys])
+        assert np.array_equal(normal_rows(keys, n), expected)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_replicate_statistics_follow_contract(self, seed, p):
+        T, N, B = 64, 8, 30
+        x = simulate(StationaryAR(coeffs=(0.5,)), T, seed=31)
+        fit = yule_walker(x, p) if p else ArFit(order=0, coeffs=np.zeros(0), sigma2=float(x.var()))
+        grid = make_grid(T, N)
+        series = _contract_series(x, fit, B, seed)
+        expected = sup_statistic(
+            distance_values(_block_periodograms(series.reshape(B, grid.M, grid.N)), T), T
+        )
+        got = _replicate_statistics(x, fit, B, seed, "local", grid)
+        assert np.array_equal(got, expected)
 
 
 class TestDecision:

@@ -29,11 +29,7 @@ TWO_PI = 2.0 * np.pi
 
 ESTIMATORS = ("local", "pre")
 
-_PRE_CHUNK_BUDGET = 1 << 24  # floats per (chunk, T, T) lag-product tensor
-
-
-def _pre_chunk(T: int) -> int:
-    return max(1, min(64, _PRE_CHUNK_BUDGET // (T * T)))
+_PRE_CHUNK_BYTES = 1 << 20  # one (chunk, T, T) lag-product array; its FFT and sums stay in L2
 
 
 class DegenerateSeriesError(ValueError):
@@ -271,13 +267,18 @@ def _replicate_statistics(
     if estimator == "local":
         pgrams = _block_periodograms(series.reshape(B, grid.M, grid.N))
         return sup_statistic(distance_values(pgrams, T), T)
-    stats = np.empty(B)
-    step = _pre_chunk(T)
-    for lo in range(0, B, step):
-        chunk = series[lo : lo + step]
-        stats[lo : lo + step] = sup_statistic(
-            distance_values(pre_periodogram_matrix(chunk), T * T), T
-        )
+    return _pre_statistics(series)
+
+
+def _pre_statistics(rows: np.ndarray) -> np.ndarray:
+    """Pre-periodogram sup-statistics of the rows of an (R, T) batch, in chunks
+    whose lag-product array fits _PRE_CHUNK_BYTES; rows never mix, so chunking changes no bit."""
+    R, T = rows.shape
+    step = max(1, _PRE_CHUNK_BYTES // (8 * T * T))
+    stats = np.empty(R)
+    for lo in range(0, R, step):
+        J = pre_periodogram_matrix(rows[lo : lo + step])
+        stats[lo : lo + step] = sup_statistic(distance_values(J, T * T), T)
     return stats
 
 
@@ -352,7 +353,7 @@ def bootstrap_draws(
         pgrams = _block_periodograms(x.reshape(grid.M, grid.N))
         statistic = float(sup_statistic(distance_values(pgrams, T), T))
     else:
-        statistic = float(sup_statistic(distance_values(pre_periodogram_matrix(x), T * T), T))
+        statistic = float(_pre_statistics(x[None])[0])
 
     replicates = _replicate_statistics(x, fit, B, seed, estimator, grid)
     return TestDraws(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 TWO_PI = 2.0 * np.pi
 
@@ -124,21 +125,30 @@ def pre_periodogram_matrix(x: np.ndarray) -> np.ndarray:
 
     Folds the symmetric lag products modulo T and evaluates with one FFT per
     series, which is exact at the full-sample Fourier frequencies.  Accepts a
-    batch of series in the leading axes: (..., T) -> (..., T, T//2).
+    batch of series in the leading axes: (..., T) -> (..., T, T//2).  Each
+    series is transformed on its own, so a batch gives the same bits as its
+    rows one at a time.
     """
     x = np.asarray(x, dtype=float)
     T = x.shape[-1]
     half = T // 2
     pad = np.zeros(x.shape[:-1] + (3 * T,))
     pad[..., T : 2 * T] = x
-    k = np.arange(T)
-    t0 = np.arange(T)[:, None]
-    hi = T + t0 + (k + 1) // 2
-    lo = T + t0 - k // 2
-    lagprod = np.take(pad, hi, axis=-1) * np.take(pad, lo, axis=-1)
-    folded = lagprod.copy()
-    folded[..., 1:] += lagprod[..., :0:-1]  # lag k-T aliases onto bin k at 2 pi k'/T
-    return np.fft.rfft(folded, axis=-1).real[..., 1 : half + 1] / TWO_PI
+    # lag k at time t0 pairs pad[T + t0 + (k+1)//2] with pad[T + t0 - k//2]:
+    # lags 2m read (T + t0 + m, T + t0 - m), lags 2m+1 read (T + t0 + m + 1, T + t0 - m)
+    lead, s = pad.strides[:-1], pad.strides[-1]
+    n_even = (T + 1) // 2
+    up = as_strided(pad[..., T:], x.shape[:-1] + (T, n_even + 1), lead + (s, s))
+    down = as_strided(pad[..., T:], x.shape[:-1] + (T, n_even), lead + (s, -s))
+    L = np.empty(x.shape[:-1] + (T, T))
+    np.multiply(up[..., :n_even], down, out=L[..., 0::2])
+    np.multiply(up[..., 1 : half + 1], down[..., :half], out=L[..., 1::2])
+    # lag k-T aliases onto bin k at 2 pi k'/T: bins k and T-k both hold L[k] + L[T-k]
+    np.add(L[..., 1:n_even], L[..., : T - n_even : -1], out=L[..., 1:n_even])
+    L[..., : T - n_even : -1] = L[..., 1:n_even]
+    if T % 2 == 0:
+        L[..., half] *= 2.0
+    return np.fft.rfft(L, axis=-1).real[..., 1 : half + 1] / TWO_PI
 
 
 def stationary_periodogram(x: np.ndarray, k: int) -> float:

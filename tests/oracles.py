@@ -9,6 +9,8 @@ and periodogram, and checks only how the criterion is assembled over orders.
 rounded_pre_periodogram_matrix is vectorized because it stands in for the
 package's matrix inside whole bootstrap tests (criterion 5); it is itself
 pinned to the literal sum naive_rounded_pre_periodogram.
+take_pre_periodogram_matrix is the package's earlier index-gather kernel,
+kept as the bit-for-bit reference of the strided one.
 """
 
 import cmath
@@ -76,6 +78,25 @@ def naive_rounded_pre_periodogram(x, t, lam):
             total += x[i1 - 1] * x[i2 - 1] * cmath.exp(-1j * lam * k)
     assert abs(total.imag) < 1e-9
     return total.real / TWO_PI
+
+
+def take_pre_periodogram_matrix(x):
+    """The package's pre_periodogram_matrix as first written, with two np.take
+    gathers over T x T index matrices and a copied fold; the strided kernel
+    must reproduce it bit for bit."""
+    x = np.asarray(x, dtype=float)
+    T = x.shape[-1]
+    half = T // 2
+    pad = np.zeros(x.shape[:-1] + (3 * T,))
+    pad[..., T : 2 * T] = x
+    k = np.arange(T)
+    t0 = np.arange(T)[:, None]
+    hi = T + t0 + (k + 1) // 2
+    lo = T + t0 - k // 2
+    lagprod = np.take(pad, hi, axis=-1) * np.take(pad, lo, axis=-1)
+    folded = lagprod.copy()
+    folded[..., 1:] += lagprod[..., :0:-1]  # lag k-T aliases onto bin k at 2 pi k'/T
+    return np.fft.rfft(folded, axis=-1).real[..., 1 : half + 1] / TWO_PI
 
 
 def rounded_pre_periodogram_matrix(x):

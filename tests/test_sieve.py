@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsts import (
     DegenerateSeriesError,
@@ -25,7 +27,7 @@ from lsts.sieve import (
     order_statistic_index,
 )
 from lsts.spectral import _block_periodograms, make_grid
-from oracles import loop_aic_select, toeplitz_yule_walker
+from oracles import loop_aic_select, take_pre_periodogram_matrix, toeplitz_yule_walker
 from scipy.signal import lfilter, lfiltic
 
 TWO_PI = 2.0 * np.pi
@@ -242,6 +244,55 @@ class TestReplicateStream:
         )
         got = _replicate_statistics(x, fit, B, seed, "local", grid)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("T", [33, 64])
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_pre_replicate_statistics_follow_contract(self, T, p):
+        # B=40 at T=64 spans two chunks of the default byte budget
+        B, seed = 40, 2**63 + 5
+        x = simulate(StationaryAR(coeffs=(0.5,)), T, seed=31)
+        fit = yule_walker(x, p) if p else ArFit(order=0, coeffs=np.zeros(0), sigma2=float(x.var()))
+        series = _contract_series(x, fit, B, seed)
+        expected = sup_statistic(distance_values(take_pre_periodogram_matrix(series), T * T), T)
+        got = _replicate_statistics(x, fit, B, seed, "pre", None)
+        assert np.array_equal(got, expected)
+
+    def test_pre_statistics_independent_of_chunk_budget(self, monkeypatch):
+        x = simulate(StationaryAR(coeffs=(0.5,)), 48, seed=32)
+        B = 12
+        kernel = sieve.pre_periodogram_matrix
+        chunks = []
+
+        def counted(rows):
+            chunks.append(rows.shape[0])
+            return kernel(rows)
+
+        monkeypatch.setattr(sieve, "pre_periodogram_matrix", counted)
+        draws = {}
+        for budget, expected_chunks in [(1, [1] * (B + 1)), (1 << 40, [1, B])]:
+            monkeypatch.setattr(sieve, "_PRE_CHUNK_BYTES", budget)
+            chunks.clear()
+            draws[budget] = sieve.bootstrap_draws(x, B=B, seed=5, estimator="pre")
+            assert chunks == expected_chunks  # observed row first, then the replicates
+        one_row, all_rows = draws.values()
+        assert one_row.statistic == all_rows.statistic
+        assert np.array_equal(one_row.replicates, all_rows.replicates)
+
+
+class TestPreStatisticProperty:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        T=st.integers(8, 80),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(-1e3, 1e3),
+        log_c=st.floats(-3.0, 3.0),
+        negative=st.booleans(),
+    )
+    def test_statistic_equals_oracle_composition(self, T, seed, a, log_c, negative):
+        c = -(10.0**log_c) if negative else 10.0**log_c
+        x = a + c * np.random.default_rng(seed).standard_normal(T)
+        expected = sup_statistic(distance_values(take_pre_periodogram_matrix(x), T * T), T)
+        assert run_test(x, B=19, estimator="pre").statistic == float(expected)
 
 
 class TestDecision:

@@ -17,6 +17,7 @@ from oracles import (
     naive_rounded_pre_periodogram,
     naive_stationary_periodogram,
     rounded_pre_periodogram_matrix,
+    take_pre_periodogram_matrix,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -162,7 +163,15 @@ class TestPrePeriodogram:
         batch = rng.standard_normal((3, 24))
         stacked = pre_periodogram_matrix(batch)
         for i in range(3):
-            assert np.allclose(stacked[i], pre_periodogram_matrix(batch[i]), atol=1e-12)
+            assert np.array_equal(stacked[i], pre_periodogram_matrix(batch[i]))
+
+    @pytest.mark.parametrize("T", [8, 9, 16, 33, 64, 65, 128, 256])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_matrix_matches_take_oracle(self, T, lead):
+        # the strided gather and in-place fold reproduce the index-gather kernel
+        # bit for bit, odd and even T, single series and batches alike
+        x = np.random.default_rng(T + len(lead)).standard_normal(lead + (T,))
+        assert np.array_equal(pre_periodogram_matrix(x), take_pre_periodogram_matrix(x))
 
 
 class TestRoundedPrePeriodogramOracle:

@@ -34,11 +34,11 @@ def normal_rows(keys, n: int) -> np.ndarray:
     """
     bit_generator = np.random.Philox(key=0)
     generator = np.random.Generator(bit_generator)
-    key = np.zeros(2, dtype=np.uint64)
+    key = [0, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

@@ -30,10 +30,13 @@ def distance_values(estimates: np.ndarray, denom: float) -> np.ndarray:
     computed with one pass of 2-D cumulative sums.  Row j = R is exactly zero
     by cancellation.  Batched over leading axes.
     """
-    S = estimates.cumsum(axis=-2).cumsum(axis=-1)
+    S = estimates.cumsum(axis=-2, dtype=float)
+    S.cumsum(axis=-1, out=S)
     R = S.shape[-2]
     frac = (np.arange(1, R + 1) / R)[:, None]
-    return (S - frac * S[..., -1:, :]) / denom
+    S -= frac * S[..., -1:, :]
+    S /= denom
+    return S
 
 
 def sup_statistic(values: np.ndarray, T: int) -> np.ndarray:

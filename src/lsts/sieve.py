@@ -29,6 +29,7 @@ TWO_PI = 2.0 * np.pi
 
 ESTIMATORS = ("local", "pre")
 
+_BLOCK_BYTES = 1 << 18  # one (rows, T) array of a replicate or AIC block
 _PRE_CHUNK_BYTES = 1 << 20  # one (chunk, T, T) lag-product array; its FFT and sums stay in L2
 
 
@@ -163,6 +164,11 @@ def default_order_range(T: int) -> tuple[int, int]:
     return 1, max(1, p_max)
 
 
+def _block_rows(row_bytes: int, budget: int) -> int:
+    """Rows per block such that one (rows, ...) array of row_bytes per row fits budget."""
+    return max(1, budget // row_bytes)
+
+
 def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
     """Order selection by the Whittle form of the AIC.
 
@@ -185,34 +191,38 @@ def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
     all_fits = _levinson_all(gamma, p_max)
     pgram = stationary_periodogram_all(x)
 
-    orders = np.arange(p_min, p_max + 1)
-    P = len(orders)
-    coeffs = np.zeros((P, p_max))
-    for r, p in enumerate(orders):
-        coeffs[r, :p] = all_fits[p - 1]
-
-    # Residuals of every candidate order at once, element by element the same
+    # One block of candidate orders at a time, element by element the same
     # multiply/subtract sequence as _residual_variance; row r is valid from
-    # column orders[r] on, and lag j only touches the rows whose order is >= j.
-    resid = np.tile(x, (P, 1))
-    for j in range(1, p_max + 1):
-        lo = max(0, j - p_min)
-        resid[lo:, j:] -= coeffs[lo:, j - 1, None] * x[: T - j]
-    sigmas = np.empty(P)
-    for r, p in enumerate(orders):
-        z = resid[r, p:]
-        z -= z.mean()
-        sigmas[r] = z @ z / (T - p)
-    vanished = np.flatnonzero(~(sigmas > 0))
-    if vanished.size:
-        raise DegenerateSeriesError(f"residual variance vanished at order {orders[vanished[0]]}")
+    # column block[r] on, and lag j only touches the rows whose order is >= j.
+    orders = np.arange(p_min, p_max + 1)
+    sigmas = np.empty(len(orders))
+    trace = np.empty(len(orders))
+    step = _block_rows(8 * T, _BLOCK_BYTES)
+    for lo in range(0, len(orders), step):
+        block = orders[lo : lo + step]
+        n, q = len(block), block[-1]
+        coeffs = np.zeros((n, q))
+        for r, p in enumerate(block):
+            coeffs[r, :p] = all_fits[p - 1]
+        resid = np.tile(x, (n, 1))
+        for j in range(1, q + 1):
+            first = max(0, j - block[0])
+            resid[first:, j:] -= coeffs[first:, j - 1, None] * x[: T - j]
+        s = sigmas[lo : lo + n]
+        for r, p in enumerate(block):
+            z = resid[r, p:]
+            z -= z.mean()
+            s[r] = z @ z / (T - p)
+        vanished = np.flatnonzero(~(s > 0))
+        if vanished.size:
+            raise DegenerateSeriesError(f"residual variance vanished at order {block[vanished[0]]}")
 
-    poly = np.zeros((P, T))
-    poly[:, 0] = 1.0
-    poly[:, 1 : p_max + 1] = -coeffs
-    gain = np.abs(np.fft.rfft(poly)[:, 1 : T // 2 + 1]) ** 2
-    f = sigmas[:, None] / (TWO_PI * gain)
-    trace = np.sum(np.log(f) + pgram / f, axis=1) / T + orders / T
+        poly = np.zeros((n, T))
+        poly[:, 0] = 1.0
+        poly[:, 1 : q + 1] = -coeffs
+        gain = np.abs(np.fft.rfft(poly)[:, 1 : T // 2 + 1]) ** 2
+        f = s[:, None] / (TWO_PI * gain)
+        trace[lo : lo + n] = np.sum(np.log(f) + pgram / f, axis=1) / T + block / T
 
     best = int(np.argmin(trace))
     p = int(orders[best])
@@ -250,31 +260,39 @@ def _replicate_statistics(
     """Sup-statistics of B bootstrap pseudo-series.
 
     Replicate i draws its innovations from the stream keyed by seed XOR i, so
-    the result is identical under any batching or parallel schedule.
+    the result is identical under any batching or parallel schedule.  The
+    replicates run noise -> AR filter -> statistic in blocks of rows sized by
+    _BLOCK_BYTES, so no (B, T) array is ever built.
     """
     T = x.shape[0]
     p = fit.order
-    noise = normal_rows([(seed ^ i) & MASK64 for i in range(1, B + 1)], T - p)
-    noise *= np.sqrt(fit.sigma2)
+    keys = [(seed ^ i) & MASK64 for i in range(1, B + 1)]
+    scale = np.sqrt(fit.sigma2)
     if p > 0:
         a_poly = _ar_poly(fit)
         zi = lfiltic([1.0], a_poly, x[p - 1 :: -1])
-        tails, _ = lfilter([1.0], a_poly, noise, axis=-1, zi=np.tile(zi, (B, 1)))
-        series = np.concatenate([np.tile(x[:p], (B, 1)), tails], axis=1)
-    else:
-        series = noise
-
-    if estimator == "local":
-        pgrams = _block_periodograms(series.reshape(B, grid.M, grid.N))
-        return sup_statistic(distance_values(pgrams, T), T)
-    return _pre_statistics(series)
+    stats = np.empty(B)
+    step = _block_rows(8 * T, _BLOCK_BYTES)
+    for lo in range(0, B, step):
+        series = normal_rows(keys[lo : lo + step], T - p)
+        series *= scale
+        n = series.shape[0]
+        if p > 0:
+            tails, _ = lfilter([1.0], a_poly, series, axis=-1, zi=np.tile(zi, (n, 1)))
+            series = np.concatenate([np.tile(x[:p], (n, 1)), tails], axis=1)
+        if estimator == "local":
+            pgrams = _block_periodograms(series.reshape(n, grid.M, grid.N))
+            stats[lo : lo + n] = sup_statistic(distance_values(pgrams, T), T)
+        else:
+            stats[lo : lo + n] = _pre_statistics(series)
+    return stats
 
 
 def _pre_statistics(rows: np.ndarray) -> np.ndarray:
     """Pre-periodogram sup-statistics of the rows of an (R, T) batch, in chunks
     whose lag-product array fits _PRE_CHUNK_BYTES; rows never mix, so chunking changes no bit."""
     R, T = rows.shape
-    step = max(1, _PRE_CHUNK_BYTES // (8 * T * T))
+    step = _block_rows(8 * T * T, _PRE_CHUNK_BYTES)
     stats = np.empty(R)
     for lo in range(0, R, step):
         J = pre_periodogram_matrix(rows[lo : lo + step])

@@ -19,6 +19,7 @@ from lsts import sieve
 from lsts._seeds import MASK64, normal_generator, normal_rows
 from lsts.empirical import distance_values, sup_statistic
 from lsts.sieve import (
+    ESTIMATORS,
     ArFit,
     _replicate_statistics,
     autocovariance,
@@ -161,6 +162,19 @@ class TestAicSelect:
                 assert np.array_equal(got.candidate_orders, ref.candidate_orders)
                 assert np.array_equal(got.coeffs, ref.coeffs)
 
+    def test_independent_of_block_budget(self, monkeypatch):
+        # T=4096 has 37 candidate orders: one order per block, then all in one
+        x = simulate(StationaryMA(coeffs=(0.8,)), 4096, seed=1100)
+        fits = []
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(sieve, "_BLOCK_BYTES", budget)
+            fits.append(aic_select(x, 1, default_order_range(4096)[1]))
+        one_row, all_rows = fits
+        assert one_row.order == all_rows.order
+        assert one_row.sigma2 == all_rows.sigma2
+        assert np.array_equal(one_row.coeffs, all_rows.coeffs)
+        assert np.array_equal(one_row.aic_trace, all_rows.aic_trace)
+
     def test_vanishing_residual_variance_names_first_order(self, monkeypatch):
         # x_t = 0.5 x_{t-1} + 1 holds exactly in floating point (x_t = 2 - 2^-t),
         # so any fit with leading coefficient 0.5 and zeros after it leaves
@@ -277,6 +291,50 @@ class TestReplicateStream:
         one_row, all_rows = draws.values()
         assert one_row.statistic == all_rows.statistic
         assert np.array_equal(one_row.replicates, all_rows.replicates)
+
+    @pytest.mark.parametrize("estimator,T", [("local", 64), ("pre", 32)])
+    def test_replicates_independent_of_block_budget(self, monkeypatch, estimator, T):
+        x = simulate(StationaryAR(coeffs=(0.5,)), T, seed=33)
+        B = 12
+        filt = sieve.lfilter
+        rows = []
+
+        def counted(b, a, e, **kwargs):
+            rows.append(e.shape[0])
+            return filt(b, a, e, **kwargs)
+
+        monkeypatch.setattr(sieve, "lfilter", counted)
+        draws = {}
+        for budget, expected_rows in [(1, [1] * B), (1 << 40, [B])]:
+            monkeypatch.setattr(sieve, "_BLOCK_BYTES", budget)
+            rows.clear()
+            draws[budget] = sieve.bootstrap_draws(x, N=8, B=B, seed=6, estimator=estimator)
+            assert rows == expected_rows
+        one_row, all_rows = draws.values()
+        assert one_row.statistic == all_rows.statistic
+        assert np.array_equal(one_row.replicates, all_rows.replicates)
+
+
+class TestReplicatePrefixProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        T=st.integers(16, 96),
+        seed=st.integers(0, 2**64 - 1),
+        B1=st.integers(1, 20),
+        extra=st.integers(0, 20),
+        block=st.integers(1, 8),
+        estimator=st.sampled_from(ESTIMATORS),
+    )
+    def test_prefix_stable_in_B(self, T, seed, B1, extra, block, estimator):
+        # replicate i depends only on seed ^ i, whatever B and the block size
+        x = np.random.default_rng(seed).standard_normal(T - T % 8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "_BLOCK_BYTES", block * 8 * x.shape[0])
+            short, long = (
+                sieve.bootstrap_draws(x, N=8, B=B, seed=seed, estimator=estimator).replicates
+                for B in (B1, B1 + extra)
+            )
+        assert np.array_equal(short, long[:B1])
 
 
 class TestPreStatisticProperty:

@@ -34,8 +34,8 @@ from .models import (
     label,
     simulate,
 )
-from .sieve import default_window, run_test
-from .spectral import local_periodogram, make_grid
+from .sieve import local_grid, run_test
+from .spectral import local_periodogram
 
 MIN_TEST_LENGTH = 32
 
@@ -327,11 +327,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_surface(args) -> int:
     x = _prepare_test_series(args)
-    N = args.N if args.N is not None else default_window(x.shape[0])
-    T_use = (x.shape[0] // N) * N
-    x = x[:T_use]
-    grid = make_grid(T_use, N)
-    process = distance_process(local_periodogram(x, grid))
+    grid = local_grid(x.shape[0], args.N)
+    process = distance_process(local_periodogram(x[: grid.T], grid))
     stream = _out_stream(args)
     try:
         process.to_csv(stream)
@@ -447,7 +444,6 @@ def build_parser() -> _Parser:
     p_surf.add_argument("--column", default=None, help="column index or header name (default: first)")
     p_surf.add_argument("--N", type=int, default=None, help="even window length (default: automatic)")
     p_surf.add_argument("--diff", action="store_true", help="first-difference the series first")
-    p_surf.add_argument("--seed", type=int, default=0)
     p_surf.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
     p_surf.set_defaults(func=cmd_surface)
 
@@ -455,20 +451,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CliConfigError as exc:
-        print(f"lsts: error: {exc}", file=sys.stderr)
-        return 3
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except CliConfigError as exc:
-        print(f"lsts: error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (CliConfigError, ValueError) as exc:
         print(f"lsts: error: {exc}", file=sys.stderr)
         return 3
     except CliDataError as exc:

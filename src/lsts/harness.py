@@ -18,7 +18,7 @@ import numpy as np
 
 from ._seeds import run_seed
 from .models import ModelSpec, label, simulate
-from .sieve import bootstrap_draws, decide
+from .sieve import ESTIMATORS, bootstrap_draws, decide
 
 
 @dataclass
@@ -40,7 +40,7 @@ class ExperimentConfig:
             raise ValueError(f"need at least 50 runs for a meaningful rate, got {self.runs}")
         if not self.alphas or not all(0.0 < a < 1.0 for a in self.alphas):
             raise ValueError(f"alphas must lie in (0, 1), got {self.alphas}")
-        if self.estimator not in ("local", "pre"):
+        if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
 

@@ -280,18 +280,17 @@ def _replicate_statistics(
         if p > 0:
             tails, _ = lfilter([1.0], a_poly, series, axis=-1, zi=np.tile(zi, (n, 1)))
             series = np.concatenate([np.tile(x[:p], (n, 1)), tails], axis=1)
-        if estimator == "local":
-            pgrams = _block_periodograms(series.reshape(n, grid.M, grid.N))
-            stats[lo : lo + n] = sup_statistic(distance_values(pgrams, T), T)
-        else:
-            stats[lo : lo + n] = _pre_statistics(series)
+        stats[lo : lo + n] = _statistics(series, estimator, grid)
     return stats
 
 
-def _pre_statistics(rows: np.ndarray) -> np.ndarray:
-    """Pre-periodogram sup-statistics of the rows of an (R, T) batch, in chunks
-    whose lag-product array fits _PRE_CHUNK_BYTES; rows never mix, so chunking changes no bit."""
+def _statistics(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> np.ndarray:
+    """Sup-statistics of the rows of an (R, T) batch; the observed series is a batch of one.
+    Pre rows run in chunks of _PRE_CHUNK_BYTES; rows never mix, so batching changes no bit."""
     R, T = rows.shape
+    if estimator == "local":
+        pgrams = _block_periodograms(rows.reshape(R, grid.M, grid.N))
+        return sup_statistic(distance_values(pgrams, T), T)
     step = _block_rows(8 * T * T, _PRE_CHUNK_BYTES)
     stats = np.empty(R)
     for lo in range(0, R, step):
@@ -316,6 +315,22 @@ def default_window(T: int) -> int:
     if not candidates:
         raise ValueError(f"no admissible window length for T={T}")
     return min(candidates, key=lambda n: (abs(n - target), -n))
+
+
+def local_grid(T: int, N: int | None = None) -> SpectralGrid:
+    """Block grid of the local estimator: N (default_window(T) if omitted) must be even,
+    at least 4 and leave two blocks; a tail past a multiple of N is dropped with a warning."""
+    N = default_window(T) if N is None else N
+    if N % 2 != 0 or N < 4:
+        raise BadWindowError(f"N must be an even integer >= 4, got {N}")
+    if T // N < 2:
+        raise BadWindowError(f"N={N} leaves {T // N} block(s) for T={T}; need at least 2")
+    if T % N:
+        warnings.warn(
+            f"series length {T} not divisible by N={N}; truncating tail to T={T - T % N}",
+            stacklevel=3,
+        )
+    return make_grid(T - T % N, N)
 
 
 def bootstrap_draws(
@@ -343,22 +358,9 @@ def bootstrap_draws(
     if B < 1:
         raise ValueError("B must be positive")
 
-    grid = None
-    if estimator == "local":
-        if N is None:
-            N = default_window(x.shape[0])
-        if N % 2 != 0 or N < 4:
-            raise BadWindowError(f"N must be an even integer >= 4, got {N}")
-        T_use = (x.shape[0] // N) * N
-        if T_use < x.shape[0]:
-            warnings.warn(
-                f"series length {x.shape[0]} not divisible by N={N}; "
-                f"truncating tail to T={T_use}",
-                stacklevel=2,
-            )
-            x = x[:T_use]
-        grid = make_grid(T_use, N)
-    T = x.shape[0]
+    grid = local_grid(x.shape[0], N) if estimator == "local" else None
+    T = grid.T if grid is not None else x.shape[0]
+    x = x[:T]
     if T < 8:
         raise ValueError(f"series too short: T={T}")
 
@@ -367,12 +369,7 @@ def bootstrap_draws(
     p_hi = hi if p_max is None else p_max
     fit = aic_select(x, p_lo, p_hi)
 
-    if estimator == "local":
-        pgrams = _block_periodograms(x.reshape(grid.M, grid.N))
-        statistic = float(sup_statistic(distance_values(pgrams, T), T))
-    else:
-        statistic = float(_pre_statistics(x[None])[0])
-
+    statistic = float(_statistics(x[None], estimator, grid)[0])
     replicates = _replicate_statistics(x, fit, B, seed, estimator, grid)
     return TestDraws(
         statistic=statistic,

@@ -62,18 +62,9 @@ def make_grid(T: int, N: int) -> SpectralGrid:
 
 
 def _block_periodograms(blocks: np.ndarray) -> np.ndarray:
-    """|DFT|^2/(2 pi N) of each length-N block at lambda_1..lambda_{N/2}.
-
-    Power-of-two N goes through the FFT; other N use the direct summation
-    written out as a DFT matrix product.
-    """
+    """|DFT|^2/(2 pi N) of each length-N block at lambda_1..lambda_{N/2}."""
     N = blocks.shape[-1]
-    if N & (N - 1) == 0:
-        F = np.fft.rfft(blocks, axis=-1)[..., 1 : N // 2 + 1]
-    else:
-        s = np.arange(N)
-        k = np.arange(1, N // 2 + 1)
-        F = blocks @ np.exp(-2j * np.pi * np.outer(s, k) / N)
+    F = np.fft.rfft(blocks, axis=-1)[..., 1 : N // 2 + 1]
     return (F.real**2 + F.imag**2) / (TWO_PI * N)
 
 

@@ -152,6 +152,24 @@ class TestSurface:
         first_row = [float(v) for v in out.strip().splitlines()[1].split(",")[1:]]
         assert np.allclose(first_row, proc.values[0], atol=1e-15)
 
+    def test_zero_window(self, ar_file, capsys):
+        code, out, err = run_cli(capsys, "surface", str(ar_file), "--N", "0")
+        assert code == 3
+        assert out == ""
+        assert "N must be an even integer" in err and "got 0" in err
+
+    @pytest.mark.parametrize("command", ["test", "surface"])
+    def test_window_leaves_too_few_blocks(self, ar_file, capsys, command):
+        code, _, err = run_cli(capsys, command, str(ar_file), "--N", "200")
+        assert code == 3
+        assert "0 block(s)" in err and "T=0" not in err
+
+    def test_truncation_warns(self, ar_file, capsys):
+        with pytest.warns(UserWarning, match="truncating tail to T=126"):
+            code, out, _ = run_cli(capsys, "surface", str(ar_file), "--N", "6")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 21  # header + M rows of the first 126 values
+
     def test_output_file(self, ar_file, tmp_path, capsys):
         out_path = tmp_path / "surf.csv"
         code, out, _ = run_cli(capsys, "surface", str(ar_file), "--N", "16", "-o", str(out_path))

@@ -337,6 +337,29 @@ class TestReplicatePrefixProperty:
         assert np.array_equal(short, long[:B1])
 
 
+class TestStatisticRowProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st.integers(16, 96),
+        N=st.sampled_from([4, 6, 8]),
+        R=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(-100.0, 100.0),
+        log_c=st.floats(-5.0, 5.0),
+        estimator=st.sampled_from(ESTIMATORS),
+    )
+    def test_row_equals_batch_of_one(self, T, N, R, seed, a, log_c, estimator):
+        # the observed series goes through _statistics as a batch of one row
+        grid = None
+        if estimator == "local":
+            T -= T % N
+            grid = make_grid(T, N)
+        rows = a + 10.0**log_c * np.random.default_rng(seed).standard_normal((R, T))
+        batch = sieve._statistics(rows, estimator, grid)
+        for i in range(R):
+            assert batch[i] == sieve._statistics(rows[i : i + 1], estimator, grid)[0]
+
+
 class TestPreStatisticProperty:
     @settings(max_examples=50, deadline=None)
     @given(

@@ -72,7 +72,7 @@ class TestLocalPeriodogram:
         assert np.allclose(I.values[0], 1 / (TWO_PI * 8), atol=1e-14)
         assert np.all(I.values[1:] == 0)
 
-    @pytest.mark.parametrize("T,N", [(64, 8), (48, 12), (60, 6), (64, 16)])
+    @pytest.mark.parametrize("T,N", [(64, 8), (48, 12), (60, 6), (64, 16), (200, 100)])
     def test_matches_direct_summation(self, T, N):
         rng = np.random.default_rng(7 + T + N)
         x = rng.standard_normal(T)

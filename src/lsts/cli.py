@@ -11,12 +11,14 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +107,21 @@ _PRE_REFERENCE = {
     256: {"alt1": (0.938, 0.968), "alt2": (0.580, 0.734), "alt3": (0.080, 0.176), "alt4q1": (0.062, 0.150), "alt4q6": (0.088, 0.132)},
 }
 
-_ALT_MODELS = {
-    "alt1": ScaledNoise(),
-    "alt2": TvAR1Sqrt(),
-    "alt3": PiecewiseAR1(),
-    "alt4q1": TvMA1Lag(q=1),
-    "alt4q6": TvMA1Lag(q=6),
+# `lsts simulate --model` name -> model from the simulate flags; bench_cells builds here too
+MODELS = {
+    "ar1": lambda phi=0.0, sigma=1.0, **_: StationaryAR(coeffs=(phi,) if phi != 0.0 else (), sigma=sigma),
+    "ma1": lambda theta=0.0, sigma=1.0, **_: StationaryMA(coeffs=(theta,), sigma=sigma),
+    "alt1": lambda **_: ScaledNoise(),
+    "alt2": lambda **_: TvAR1Sqrt(),
+    "alt3": lambda **_: PiecewiseAR1(),
+    "alt4": lambda q=1, **_: TvMA1Lag(q=q),
 }
+
+
+def _alt_model(alt: str) -> ModelSpec:
+    """Model of a reference column: "alt4q6" is `alt4` at q=6."""
+    name, _, q = alt.partition("q")
+    return MODELS[name](q=int(q or 1))
 
 
 @dataclass(frozen=True)
@@ -141,17 +151,16 @@ def bench_cells() -> dict[str, BenchCell]:
 
     for (T, N), by_phi in _AR_REFERENCE.items():
         for phi, (r5, r10) in by_phi.items():
-            model = StationaryAR(coeffs=(phi,)) if phi != 0.0 else StationaryAR()
-            add(f"T{T}-N{N}-ar{phi:g}", model, T, N, "local", r5, r10, null=True)
+            add(f"T{T}-N{N}-ar{phi:g}", MODELS["ar1"](phi=phi), T, N, "local", r5, r10, null=True)
     for (T, N), by_theta in _MA_REFERENCE.items():
         for theta, (r5, r10) in by_theta.items():
-            add(f"T{T}-N{N}-ma{theta:g}", StationaryMA(coeffs=(theta,)), T, N, "local", r5, r10, null=True)
+            add(f"T{T}-N{N}-ma{theta:g}", MODELS["ma1"](theta=theta), T, N, "local", r5, r10, null=True)
     for (T, N), by_alt in _ALT_REFERENCE.items():
         for alt, (r5, r10) in by_alt.items():
-            add(f"T{T}-N{N}-{alt}", _ALT_MODELS[alt], T, N, "local", r5, r10, null=False)
+            add(f"T{T}-N{N}-{alt}", _alt_model(alt), T, N, "local", r5, r10, null=False)
     for T, by_alt in _PRE_REFERENCE.items():
         for alt, (r5, r10) in by_alt.items():
-            add(f"T{T}-pre-{alt}", _ALT_MODELS[alt], T, None, "pre", r5, r10, null=False)
+            add(f"T{T}-pre-{alt}", _alt_model(alt), T, None, "pre", r5, r10, null=False)
     return cells
 
 
@@ -222,9 +231,9 @@ def _envelope(command: str, seed: int, config: dict, results: dict, seconds: flo
 
 
 def _out_stream(args):
-    if getattr(args, "output", None):
+    if args.output:
         return open(args.output, "w", encoding="utf-8")
-    return sys.stdout
+    return contextlib.nullcontext(sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +249,13 @@ def _prepare_test_series(args) -> np.ndarray:
         raise CliConfigError(
             f"series too short: {x.shape[0]} observations after differencing, need {MIN_TEST_LENGTH}"
         )
-    if args.N is not None and args.N % 2 != 0:
-        raise CliConfigError("--N must be even")
     return x
 
 
 def cmd_test(args) -> int:
     x = _prepare_test_series(args)
+    if args.estimator == "local" and args.N is not None and args.N % 2 != 0:
+        raise CliConfigError("--N must be even")
     start = time.perf_counter()
     result = run_test(
         x,
@@ -295,33 +304,11 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _model_from_args(args) -> ModelSpec:
-    name = args.model
-    if name == "ar1":
-        return StationaryAR(coeffs=(args.phi,) if args.phi != 0.0 else (), sigma=args.sigma)
-    if name == "ma1":
-        return StationaryMA(coeffs=(args.theta,), sigma=args.sigma)
-    if name == "alt1":
-        return ScaledNoise()
-    if name == "alt2":
-        return TvAR1Sqrt()
-    if name == "alt3":
-        return PiecewiseAR1()
-    if name == "alt4":
-        return TvMA1Lag(q=args.q)
-    raise CliConfigError(f"unknown model {name!r}")
-
-
 def cmd_simulate(args) -> int:
-    model = _model_from_args(args)
-    x = simulate(model, args.T, args.seed)
-    stream = _out_stream(args)
-    try:
+    x = simulate(MODELS[args.model](**vars(args)), args.T, args.seed)
+    with _out_stream(args) as stream:
         for value in x:
             stream.write(f"{value:.17g}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -329,12 +316,8 @@ def cmd_surface(args) -> int:
     x = _prepare_test_series(args)
     grid = local_grid(x.shape[0], args.N)
     process = distance_process(local_periodogram(x[: grid.T], grid))
-    stream = _out_stream(args)
-    try:
+    with _out_stream(args) as stream:
         process.to_csv(stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -420,7 +403,7 @@ def build_parser() -> _Parser:
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="simulate a built-in model, one value per line")
-    p_sim.add_argument("--model", required=True, choices=["ar1", "ma1", "alt1", "alt2", "alt3", "alt4"])
+    p_sim.add_argument("--model", required=True, choices=list(MODELS))
     p_sim.add_argument("--T", type=int, required=True, help="series length")
     p_sim.add_argument("--phi", type=float, default=0.0, help="AR(1) coefficient (ar1)")
     p_sim.add_argument("--theta", type=float, default=0.0, help="MA(1) coefficient (ma1)")
@@ -451,6 +434,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    default_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"lsts: warning: {message}\n"
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -470,6 +455,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"lsts: i/o error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ which is identically zero iff f does not depend on u.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.signal import lfilter, lfiltic
@@ -31,8 +30,6 @@ _CAUSALITY_MARGIN = 1e-9
 
 def _check_causal(coeffs: tuple[float, ...]) -> None:
     """Reject coefficient vectors whose AR polynomial has roots in |z| <= 1."""
-    if not coeffs:
-        return
     # roots of 1 - a_1 z - ... - a_p z^p, highest degree first
     poly = np.r_[[-c for c in reversed(coeffs)], 1.0]
     roots = np.roots(poly)
@@ -43,8 +40,18 @@ def _check_causal(coeffs: tuple[float, ...]) -> None:
         )
 
 
+class ModelSpec:
+    """Base of the models: each draws a path of length T from a normal generator
+    (`sample`), gives its exact f(u, lambda) (`spectral_density`) and its report
+    tag (`label`).  `u_breaks` and `lam_panel` tell `true_distance` where f jumps
+    in rescaled time and how wide its frequency panels may be."""
+
+    u_breaks = ()
+    lam_panel = np.pi / 2
+
+
 @dataclass(frozen=True)
-class StationaryAR:
+class StationaryAR(ModelSpec):
     """Stationary AR(p): X_t = sum_j coeffs[j-1] X_{t-j} + sigma Z_t."""
 
     coeffs: tuple[float, ...] = ()
@@ -56,9 +63,23 @@ class StationaryAR:
             raise ValueError("sigma must be positive")
         _check_causal(self.coeffs)
 
+    def label(self):
+        return f"ar(coeffs={list(self.coeffs)}, sigma={self.sigma:g})"
+
+    def sample(self, T, rng):
+        z = rng.standard_normal(T + BURN_IN) * self.sigma
+        a_poly = np.r_[1.0, [-c for c in self.coeffs]]
+        return lfilter([1.0], a_poly, z)[BURN_IN:]
+
+    def spectral_density(self, u, lam):
+        transfer = np.ones_like(lam, dtype=complex)
+        for j, c in enumerate(self.coeffs, start=1):
+            transfer = transfer - c * np.exp(-1j * lam * j)
+        return self.sigma**2 / (2.0 * np.pi * np.abs(transfer) ** 2)
+
 
 @dataclass(frozen=True)
-class StationaryMA:
+class StationaryMA(ModelSpec):
     """Stationary MA(q): X_t = sigma (Z_t + sum_j coeffs[j-1] Z_{t-j})."""
 
     coeffs: tuple[float, ...] = ()
@@ -69,24 +90,83 @@ class StationaryMA:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
+    def label(self):
+        return f"ma(coeffs={list(self.coeffs)}, sigma={self.sigma:g})"
+
+    def sample(self, T, rng):
+        z = rng.standard_normal(T + BURN_IN) * self.sigma
+        b_poly = np.r_[1.0, self.coeffs]
+        return lfilter(b_poly, [1.0], z)[BURN_IN:]
+
+    def spectral_density(self, u, lam):
+        transfer = np.ones_like(lam, dtype=complex)
+        for j, c in enumerate(self.coeffs, start=1):
+            transfer = transfer + c * np.exp(-1j * lam * j)
+        return self.sigma**2 * np.abs(transfer) ** 2 / (2.0 * np.pi)
+
 
 @dataclass(frozen=True)
-class ScaledNoise:
+class ScaledNoise(ModelSpec):
     """X_t = (1 + t/T) Z_t: independent noise, standard deviation ramping 1 to 2."""
 
+    def label(self):
+        return "scaled-noise"
+
+    def sample(self, T, rng):
+        z = rng.standard_normal(T)
+        return (1.0 + np.arange(1, T + 1) / T) * z
+
+    def spectral_density(self, u, lam):
+        return (1.0 + u) ** 2 / (2.0 * np.pi)
+
 
 @dataclass(frozen=True)
-class TvAR1Sqrt:
+class TvAR1Sqrt(ModelSpec):
     """X_t = -0.9 sqrt(t/T) X_{t-1} + Z_t, started at X_0 = 0."""
 
+    def label(self):
+        return "tvar1-sqrt"
+
+    def sample(self, T, rng):
+        z = rng.standard_normal(T)
+        phi = -0.9 * np.sqrt(np.arange(1, T + 1) / T)
+        x = np.empty(T)
+        prev = 0.0
+        for i in range(T):
+            prev = phi[i] * prev + z[i]
+            x[i] = prev
+        return x
+
+    def spectral_density(self, u, lam):
+        c = 0.9 * np.sqrt(u)
+        return 1.0 / (2.0 * np.pi * (1.0 + 2.0 * c * np.cos(lam) + c**2))
+
 
 @dataclass(frozen=True)
-class PiecewiseAR1:
+class PiecewiseAR1(ModelSpec):
     """AR(1) coefficient +0.5 on the first half-sample, -0.5 on the second."""
 
+    u_breaks = (0.5,)
+
+    def label(self):
+        return "piecewise-ar1"
+
+    def sample(self, T, rng):
+        half = T // 2
+        z = rng.standard_normal(T + BURN_IN)
+        first = lfilter([1.0], [1.0, -0.5], z[: BURN_IN + half])[BURN_IN:]
+        # second regime keeps recursing from the last value of the first
+        zi = lfiltic([1.0], [1.0, 0.5], first[-1:])
+        second, _ = lfilter([1.0], [1.0, 0.5], z[BURN_IN + half :], zi=zi)
+        return np.concatenate([first, second])
+
+    def spectral_density(self, u, lam):
+        phi = np.where(u <= 0.5, 0.5, -0.5)
+        return 1.0 / (2.0 * np.pi * (1.0 - 2.0 * phi * np.cos(lam) + phi**2))
+
 
 @dataclass(frozen=True)
-class TvMA1Lag:
+class TvMA1Lag(ModelSpec):
     """X_t = Z_t + 0.8 cos(1.5 - cos(4 pi t/T)) Z_{t-q}."""
 
     q: int = 1
@@ -96,8 +176,22 @@ class TvMA1Lag:
             raise ValueError("q must be an integer >= 1")
         object.__setattr__(self, "q", int(self.q))
 
+    @property
+    def lam_panel(self):
+        # one panel per half-period of cos(q lam) in the transfer function
+        return np.pi / self.q
 
-ModelSpec = Union[StationaryAR, StationaryMA, ScaledNoise, TvAR1Sqrt, PiecewiseAR1, TvMA1Lag]
+    def label(self):
+        return f"tvma1-lag(q={self.q})"
+
+    def sample(self, T, rng):
+        z = rng.standard_normal(T + self.q)  # z[i] is Z_{i-q+1}, so lagged terms exist for t <= q
+        c = _tvma_coeff(np.arange(1, T + 1) / T)
+        return z[self.q :] + c * z[:T]
+
+    def spectral_density(self, u, lam):
+        c = _tvma_coeff(u)
+        return (1.0 + 2.0 * c * np.cos(self.q * lam) + c**2) / (2.0 * np.pi)
 
 
 def _tvma_coeff(u):
@@ -106,19 +200,7 @@ def _tvma_coeff(u):
 
 def label(model: ModelSpec) -> str:
     """Short human-readable tag for reports."""
-    if isinstance(model, StationaryAR):
-        return f"ar(coeffs={list(model.coeffs)}, sigma={model.sigma:g})"
-    if isinstance(model, StationaryMA):
-        return f"ma(coeffs={list(model.coeffs)}, sigma={model.sigma:g})"
-    if isinstance(model, ScaledNoise):
-        return "scaled-noise"
-    if isinstance(model, TvAR1Sqrt):
-        return "tvar1-sqrt"
-    if isinstance(model, PiecewiseAR1):
-        return "piecewise-ar1"
-    if isinstance(model, TvMA1Lag):
-        return f"tvma1-lag(q={model.q})"
-    raise TypeError(f"unsupported model {model!r}")
+    return model.label()
 
 
 def simulate(model: ModelSpec, T: int, seed: int) -> np.ndarray:
@@ -131,84 +213,15 @@ def simulate(model: ModelSpec, T: int, seed: int) -> np.ndarray:
     """
     if T < MIN_LENGTH:
         raise ValueError(f"T must be at least {MIN_LENGTH}, got {T}")
-    rng = normal_generator(seed)
-
-    if isinstance(model, StationaryAR):
-        z = rng.standard_normal(T + BURN_IN) * model.sigma
-        a_poly = np.r_[1.0, [-c for c in model.coeffs]]
-        return lfilter([1.0], a_poly, z)[BURN_IN:]
-
-    if isinstance(model, StationaryMA):
-        z = rng.standard_normal(T + BURN_IN) * model.sigma
-        b_poly = np.r_[1.0, model.coeffs]
-        return lfilter(b_poly, [1.0], z)[BURN_IN:]
-
-    if isinstance(model, ScaledNoise):
-        z = rng.standard_normal(T)
-        return (1.0 + np.arange(1, T + 1) / T) * z
-
-    if isinstance(model, TvAR1Sqrt):
-        z = rng.standard_normal(T)
-        phi = -0.9 * np.sqrt(np.arange(1, T + 1) / T)
-        x = np.empty(T)
-        prev = 0.0
-        for i in range(T):
-            prev = phi[i] * prev + z[i]
-            x[i] = prev
-        return x
-
-    if isinstance(model, PiecewiseAR1):
-        half = T // 2
-        z = rng.standard_normal(T + BURN_IN)
-        first = lfilter([1.0], [1.0, -0.5], z[: BURN_IN + half])[BURN_IN:]
-        # second regime keeps recursing from the last value of the first
-        zi = lfiltic([1.0], [1.0, 0.5], first[-1:])
-        second, _ = lfilter([1.0], [1.0, 0.5], z[BURN_IN + half :], zi=zi)
-        return np.concatenate([first, second])
-
-    if isinstance(model, TvMA1Lag):
-        q = model.q
-        z = rng.standard_normal(T + q)  # z[i] is Z_{i-q+1}, so lagged terms exist for t <= q
-        c = _tvma_coeff(np.arange(1, T + 1) / T)
-        return z[q:] + c * z[:T]
-
-    raise TypeError(f"unsupported model {model!r}")
+    return model.sample(T, normal_generator(seed))
 
 
 def true_spectral_density(model: ModelSpec, u, lam):
     """Exact f(u, lambda); broadcasts over array-valued u and lam."""
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
-
-    if isinstance(model, StationaryAR):
-        transfer = np.ones_like(lam, dtype=complex)
-        for j, c in enumerate(model.coeffs, start=1):
-            transfer = transfer - c * np.exp(-1j * lam * j)
-        out = model.sigma**2 / (2.0 * np.pi * np.abs(transfer) ** 2)
-        out = np.broadcast_to(out, np.broadcast_shapes(u.shape, lam.shape)).copy()
-    elif isinstance(model, StationaryMA):
-        transfer = np.ones_like(lam, dtype=complex)
-        for j, c in enumerate(model.coeffs, start=1):
-            transfer = transfer + c * np.exp(-1j * lam * j)
-        out = model.sigma**2 * np.abs(transfer) ** 2 / (2.0 * np.pi)
-        out = np.broadcast_to(out, np.broadcast_shapes(u.shape, lam.shape)).copy()
-    elif isinstance(model, ScaledNoise):
-        out = np.broadcast_to((1.0 + u) ** 2 / (2.0 * np.pi), np.broadcast_shapes(u.shape, lam.shape)).copy()
-    elif isinstance(model, TvAR1Sqrt):
-        c = 0.9 * np.sqrt(u)
-        out = 1.0 / (2.0 * np.pi * (1.0 + 2.0 * c * np.cos(lam) + c**2))
-    elif isinstance(model, PiecewiseAR1):
-        phi = np.where(u <= 0.5, 0.5, -0.5)
-        out = 1.0 / (2.0 * np.pi * (1.0 - 2.0 * phi * np.cos(lam) + phi**2))
-    elif isinstance(model, TvMA1Lag):
-        c = _tvma_coeff(u)
-        out = (1.0 + 2.0 * c * np.cos(model.q * lam) + c**2) / (2.0 * np.pi)
-    else:
-        raise TypeError(f"unsupported model {model!r}")
-
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = np.broadcast_to(model.spectral_density(u, lam), np.broadcast_shapes(u.shape, lam.shape)).copy()
+    return float(out) if out.ndim == 0 else out
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
@@ -242,15 +255,12 @@ def true_distance(model: ModelSpec, v: float, omega: float) -> float:
     if lam_hi <= 0.0 or v == 0.0:
         return 0.0
 
-    u_breaks = {0.5} if isinstance(model, PiecewiseAR1) else set()
-    # one panel per oscillation period of the lag-q transfer function
-    lam_len = np.pi / model.q if isinstance(model, TvMA1Lag) else np.pi / 2
-    lam_nodes, lam_w = _panel_quadrature(0.0, lam_hi, max_len=lam_len)
+    lam_nodes, lam_w = _panel_quadrature(0.0, lam_hi, max_len=model.lam_panel)
 
     def u_integral(u_nodes, u_w):
         f = true_spectral_density(model, u_nodes[:, None], lam_nodes[None, :])
         return u_w @ (f @ lam_w)
 
-    term_local = u_integral(*_panel_quadrature(0.0, v, u_breaks))
-    term_avg = u_integral(*_panel_quadrature(0.0, 1.0, u_breaks | {v}))
+    term_local = u_integral(*_panel_quadrature(0.0, v, model.u_breaks))
+    term_avg = u_integral(*_panel_quadrature(0.0, 1.0, (*model.u_breaks, v)))
     return float((term_local - v * term_avg) / (2.0 * np.pi))

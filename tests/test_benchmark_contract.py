@@ -3,9 +3,13 @@
 A span whose binding disappears is reported as missing and its per-layer
 metrics drop out of the benchmark result, so every entry of the tracer's
 SPANS and IMPORTS lists must resolve.  The lists are read from
-perfbench/tracer.py itself, so this test follows any change to them.
+perfbench/tracer.py itself, so this test follows any change to them.  The
+workloads call the package through its attributes (`lsts.simulate`,
+`sieve.run_test`, ...); an `ast` scan of perfbench's sources finds each one,
+so a renamed or removed public name fails here before it breaks a benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -44,3 +48,40 @@ def test_import_lsts_loads_every_traced_module():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     assert out.strip() == "[]"
+
+
+def _package_reads():
+    """(module, attribute) for every name perfbench's sources read off `lsts` or its modules."""
+    reads = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> lsts module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update({a.asname or a.name: a.name for a in node.names if a.name.split(".")[0] == "lsts"})
+            elif isinstance(node, ast.ImportFrom) and node.module == "lsts":
+                reads.update(("lsts", a.name) for a in node.names)
+                modules.update({a.asname or a.name: f"lsts.{a.name}" for a in node.names})
+        reads.update(
+            (modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+        )
+    return sorted(reads)
+
+
+PACKAGE_READS = _package_reads()
+
+
+def test_scan_finds_the_workload_calls():
+    for read in [("lsts", "simulate"), ("lsts", "StationaryAR"), ("lsts", "ExperimentConfig"),
+                 ("lsts", "pre_periodogram"), ("lsts.sieve", "run_test"), ("lsts.harness", "run_experiment")]:
+        assert read in PACKAGE_READS
+
+
+@pytest.mark.parametrize("module,attr", PACKAGE_READS, ids=[f"{m}.{a}" for m, a in PACKAGE_READS])
+def test_package_attribute_resolves(module, attr):
+    # `from lsts import cli` also resolves to a submodule not yet imported
+    package_module = module == "lsts" and importlib.util.find_spec(f"lsts.{attr}") is not None
+    found = hasattr(importlib.import_module(module), attr) or package_module
+    assert found, f"perfbench reads {module}.{attr}, which does not exist"

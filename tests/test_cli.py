@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +131,13 @@ class TestTest:
         direct = run_test(x, N=16, B=200, alpha=0.05, seed=3)
         assert json.loads(out)["results"]["statistic"] == pytest.approx(direct.statistic, rel=1e-12)
 
+    def test_pre_estimator_ignores_odd_window(self, ar_file, capsys):
+        code, out, err = run_cli(
+            capsys, "test", str(ar_file), "--estimator", "pre", "--N", "13", "--B", "19", "--format", "json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["config"]["N"] is None
+
 
 class TestSurface:
     def test_dimensions(self, ar_file, capsys):
@@ -187,6 +199,29 @@ class TestSurface:
         assert code == 0
         direct = run_test(x, N=8, B=99, alpha=0.05, seed=0)
         assert json.loads(out)["results"]["statistic"] == pytest.approx(direct.statistic, rel=1e-12)
+
+
+class TestWarnings:
+    """Warnings reach the user as one `lsts: warning:` line, without a source location."""
+
+    @pytest.mark.parametrize("command", ["test", "surface"])
+    def test_shown_as_cli_message(self, ar_file, command):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        extra = ["--B", "19"] if command == "test" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsts.cli", command, str(ar_file), "--N", "6", *extra],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "lsts: warning: series length 128 not divisible by N=6; truncating tail to T=126\n"
+
+    def test_main_restores_warning_format(self, ar_file, capsys):
+        before = warnings.formatwarning
+        with pytest.warns(UserWarning):
+            run_cli(capsys, "surface", str(ar_file), "--N", "6")
+        assert warnings.formatwarning is before
 
 
 class TestBench:

@@ -7,7 +7,6 @@ simulation models and a Monte Carlo harness for rejection-rate studies.
 
 from .empirical import (
     DistanceProcess,
-    PreDistanceProcess,
     distance_process,
     limit_covariance_h0,
     pre_distance_process,
@@ -34,7 +33,6 @@ from .sieve import (
     bootstrap_replicate,
     default_window,
     run_test,
-    yule_walker,
 )
 from .spectral import (
     BadWindowError,
@@ -45,7 +43,6 @@ from .spectral import (
     make_grid,
     pre_periodogram,
     pre_periodogram_matrix,
-    stationary_periodogram,
     stationary_periodogram_all,
 )
 
@@ -62,7 +59,6 @@ __all__ = [
     "ModelSpec",
     "NonDivisibleError",
     "PiecewiseAR1",
-    "PreDistanceProcess",
     "ScaledNoise",
     "SpectralGrid",
     "StationaryAR",
@@ -84,9 +80,7 @@ __all__ = [
     "run_experiment",
     "run_test",
     "simulate",
-    "stationary_periodogram",
     "stationary_periodogram_all",
     "true_distance",
     "true_spectral_density",
-    "yule_walker",
 ]

@@ -36,7 +36,7 @@ from .models import (
     label,
     simulate,
 )
-from .sieve import local_grid, run_test
+from .sieve import ESTIMATORS, local_grid, run_test
 from .spectral import local_periodogram
 
 MIN_TEST_LENGTH = 32
@@ -203,8 +203,8 @@ def read_series(path: str, column: str | None = None) -> np.ndarray:
             if column not in names:
                 raise CliConfigError(f"--column {column!r} not found in header {names}")
             col_index = names.index(column)
-    if col_index >= len(header_row):
-        raise CliConfigError(f"--column index {col_index} out of range for {len(header_row)} column(s)")
+    if not 0 <= col_index < len(header_row):
+        raise CliConfigError(f"--column index {col_index} out of range 0..{len(header_row) - 1} (0-based)")
 
     start = 0
     if not _is_number(rows[0][col_index].strip()):
@@ -246,9 +246,8 @@ def _prepare_test_series(args) -> np.ndarray:
     if args.diff:
         x = np.diff(x)
     if x.shape[0] < MIN_TEST_LENGTH:
-        raise CliConfigError(
-            f"series too short: {x.shape[0]} observations after differencing, need {MIN_TEST_LENGTH}"
-        )
+        after = " after differencing" if args.diff else ""
+        raise CliConfigError(f"series too short: {x.shape[0]} observations{after}, need {MIN_TEST_LENGTH}")
     return x
 
 
@@ -394,7 +393,7 @@ def build_parser() -> _Parser:
     p_test.add_argument("--N", type=int, default=None, help="even window length (default: automatic)")
     p_test.add_argument("--B", type=int, default=200, help="bootstrap replicates")
     p_test.add_argument("--alpha", type=float, default=0.05, help="nominal level")
-    p_test.add_argument("--estimator", choices=["local", "pre"], default="local")
+    p_test.add_argument("--estimator", choices=ESTIMATORS, default="local")
     p_test.add_argument("--p-min", dest="p_min", type=int, default=None, help="smallest AR order")
     p_test.add_argument("--p-max", dest="p_max", type=int, default=None, help="largest AR order")
     p_test.add_argument("--seed", type=int, default=0)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .spectral import LocalPeriodogramMatrix, SpectralGrid, pre_periodogram_matrix
+from .spectral import LocalPeriodogramMatrix, pre_periodogram_matrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,55 +48,39 @@ def sup_statistic(values: np.ndarray, T: int) -> np.ndarray:
     return np.sqrt(T) * np.abs(values).max(axis=(-2, -1))
 
 
-def _write_surface_csv(fileobj, row_header, row_labels, col_labels, values):
-    fileobj.write(row_header + "," + ",".join(f"{c:.10g}" for c in col_labels) + "\n")
-    for lab, row in zip(row_labels, values):
-        fileobj.write(f"{lab:.10g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 @dataclass
 class DistanceProcess:
-    """Distance process on the M x N/2 grid; entry (j, k) is the value at (j/M, 2k/N)."""
+    """Distance process of either estimator; values[j, k] is its value at (times[j], frequencies[k])."""
 
     values: np.ndarray
-    grid: SpectralGrid
+    times: np.ndarray
+    frequencies: np.ndarray
     sup_stat: float
 
     def to_csv(self, fileobj) -> None:
-        """Matrix as CSV: header row of frequencies, first column of midpoints."""
-        _write_surface_csv(fileobj, "u", self.grid.midpoints, self.grid.frequencies, self.values)
-
-
-@dataclass
-class PreDistanceProcess:
-    """Pre-periodogram distance process on the T x floor(T/2) grid (j/T, 2k/T)."""
-
-    values: np.ndarray
-    T: int
-    sup_stat: float
-
-    def to_csv(self, fileobj) -> None:
-        T = self.T
-        times = np.arange(1, T + 1) / T
-        freqs = TWO_PI * np.arange(1, T // 2 + 1) / T
-        _write_surface_csv(fileobj, "u", times, freqs, self.values)
+        """Matrix as CSV: header row of frequencies, first column of times."""
+        fileobj.write("u," + ",".join(f"{c:.10g}" for c in self.frequencies) + "\n")
+        for u, row in zip(self.times, self.values):
+            fileobj.write(f"{u:.10g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def distance_process(periodograms: LocalPeriodogramMatrix) -> DistanceProcess:
-    """Distance process of a local periodogram matrix."""
-    T = periodograms.grid.T
-    vals = distance_values(periodograms.values, T)
-    return DistanceProcess(values=vals, grid=periodograms.grid, sup_stat=float(sup_statistic(vals, T)))
+    """Distance process of a local periodogram matrix, at the block midpoints and lambda_1..lambda_{N/2}."""
+    grid = periodograms.grid
+    vals = distance_values(periodograms.values, grid.T)
+    return DistanceProcess(vals, grid.midpoints, grid.frequencies, float(sup_statistic(vals, grid.T)))
 
 
-def pre_distance_process(x: np.ndarray) -> PreDistanceProcess:
-    """Distance process built from the pre-periodogram of the series."""
+def pre_distance_process(x: np.ndarray) -> DistanceProcess:
+    """Distance process of the series' pre-periodogram, at t/T, t = 1..T, and 2 pi k/T, k = 1..T//2."""
     x = np.asarray(x, dtype=float)
     T = x.shape[0]
     if T < 8:
         raise ValueError(f"series too short for the pre-periodogram process: T={T}")
     vals = distance_values(pre_periodogram_matrix(x), T * T)
-    return PreDistanceProcess(values=vals, T=T, sup_stat=float(sup_statistic(vals, T)))
+    times = np.arange(1, T + 1) / T
+    freqs = TWO_PI * np.arange(1, T // 2 + 1) / T
+    return DistanceProcess(vals, times, freqs, float(sup_statistic(vals, T)))
 
 
 def limit_covariance_h0(

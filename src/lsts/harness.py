@@ -18,7 +18,7 @@ import numpy as np
 
 from ._seeds import run_seed
 from .models import ModelSpec, label, simulate
-from .sieve import ESTIMATORS, bootstrap_draws, decide
+from .sieve import ESTIMATORS, bootstrap_draws, decide, order_statistic_index
 
 
 @dataclass
@@ -42,6 +42,10 @@ class ExperimentConfig:
             raise ValueError(f"alphas must lie in (0, 1), got {self.alphas}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.B < 1:
+            raise ValueError(f"B must be at least 1, got {self.B}")
+        for a in self.alphas:
+            order_statistic_index(self.B, a)
 
 
 @dataclass

@@ -114,38 +114,6 @@ def _levinson_all(gamma: np.ndarray, p_max: int) -> list[np.ndarray]:
     return fits
 
 
-def _residual_variance(x: np.ndarray, coeffs: np.ndarray) -> float:
-    """Mean-centered variance of the one-step residuals z_t = X_t - sum a_j X_{t-j}."""
-    p = len(coeffs)
-    T = x.shape[0]
-    z = x[p:].copy()
-    for j in range(1, p + 1):
-        z -= coeffs[j - 1] * x[p - j : T - j]
-    z -= z.mean()
-    return float(z @ z / (T - p))
-
-
-def yule_walker(x: np.ndarray, p: int) -> ArFit:
-    """Fit an AR(p) by solving the Toeplitz moment equations.
-
-    The biased autocovariance estimate keeps the fitted polynomial causal.
-    """
-    x = np.asarray(x, dtype=float)
-    T = x.shape[0]
-    if p < 1:
-        raise ValueError("order p must be at least 1")
-    if p >= T / 2:
-        raise ValueError(f"order p={p} too large for series length {T}")
-    gamma = autocovariance(x, p)
-    if gamma[0] == 0.0:
-        raise DegenerateSeriesError("constant series: autocovariance at lag 0 is zero")
-    coeffs = _levinson_all(gamma, p)[-1]
-    sigma2 = _residual_variance(x, coeffs)
-    if not sigma2 > 0:
-        raise DegenerateSeriesError("residual variance is not positive")
-    return ArFit(order=p, coeffs=coeffs, sigma2=sigma2)
-
-
 def ar_spectral_density(fit: ArFit, lam):
     """Spectral density sigma^2 / (2 pi |1 - sum_j a_j e^{-i lam j}|^2) of the fit."""
     lam = np.asarray(lam, dtype=float)
@@ -177,7 +145,8 @@ def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
         (1/T) sum_{k=1}^{T/2} [ log f_p(lambda_{k,T}) + I(lambda_{k,T}) / f_p(lambda_{k,T}) ] + p/T
 
     with f_p the fitted AR(p) spectral density and I the full-sample
-    periodogram; ties break to the smallest order.
+    periodogram; ties break to the smallest order.  A fixed-order fit is
+    aic_select(x, p, p).
     """
     x = np.asarray(x, dtype=float)
     T = x.shape[0]
@@ -191,9 +160,9 @@ def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
     all_fits = _levinson_all(gamma, p_max)
     pgram = stationary_periodogram_all(x)
 
-    # One block of candidate orders at a time, element by element the same
-    # multiply/subtract sequence as _residual_variance; row r is valid from
-    # column block[r] on, and lag j only touches the rows whose order is >= j.
+    # One block of candidate orders at a time.  Row r holds the one-step
+    # residuals z_t = X_t - sum_j a_j X_{t-j} of order block[r], valid from
+    # column block[r] on; lag j only touches the rows whose order is >= j.
     orders = np.arange(p_min, p_max + 1)
     sigmas = np.empty(len(orders))
     trace = np.empty(len(orders))

@@ -1,9 +1,9 @@
 """Periodogram-type spectral estimators.
 
-Three estimators share the package: the local periodogram over disjoint
-length-N blocks (the workhorse of the test), the lag-product pre-periodogram
-localized at single time points, and the ordinary full-sample periodogram
-used by the order-selection criterion.
+Three estimators share the package: the ordinary periodogram, used by the
+order-selection criterion on the full sample and by the local periodogram on
+each disjoint length-N block (the workhorse of the test), and the
+lag-product pre-periodogram localized at single time points.
 """
 
 from __future__ import annotations
@@ -61,11 +61,16 @@ def make_grid(T: int, N: int) -> SpectralGrid:
     return SpectralGrid(T=T, N=N, M=M, midpoints=midpoints, frequencies=frequencies)
 
 
-def _block_periodograms(blocks: np.ndarray) -> np.ndarray:
-    """|DFT|^2/(2 pi N) of each length-N block at lambda_1..lambda_{N/2}."""
-    N = blocks.shape[-1]
-    F = np.fft.rfft(blocks, axis=-1)[..., 1 : N // 2 + 1]
-    return (F.real**2 + F.imag**2) / (TWO_PI * N)
+def stationary_periodogram_all(x: np.ndarray) -> np.ndarray:
+    """Periodogram (1/2 pi T)|sum_t X_t e^{-i lambda t}|^2 at 2 pi k/T, k = 1..T//2, of the last axis."""
+    x = np.asarray(x, dtype=float)
+    T = x.shape[-1]
+    F = np.fft.rfft(x, axis=-1)[..., 1 : T // 2 + 1]
+    return (F.real**2 + F.imag**2) / (TWO_PI * T)
+
+
+# second name under which sieve times the local statistic's block periodograms
+_block_periodograms = stationary_periodogram_all
 
 
 def local_periodogram(x: np.ndarray, grid: SpectralGrid) -> LocalPeriodogramMatrix:
@@ -79,7 +84,7 @@ def local_periodogram(x: np.ndarray, grid: SpectralGrid) -> LocalPeriodogramMatr
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != grid.T:
         raise ValueError(f"series length {x.shape} does not match grid T={grid.T}")
-    values = _block_periodograms(x.reshape(grid.M, grid.N))
+    values = stationary_periodogram_all(x.reshape(grid.M, grid.N))
     return LocalPeriodogramMatrix(values=values, grid=grid)
 
 
@@ -142,20 +147,3 @@ def pre_periodogram_matrix(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(L, axis=-1).real[..., 1 : half + 1] / TWO_PI
 
 
-def stationary_periodogram(x: np.ndarray, k: int) -> float:
-    """Ordinary periodogram (1/2 pi T)|sum_t X_t e^{-i lambda t}|^2 at lambda = 2 pi k/T."""
-    x = np.asarray(x, dtype=float)
-    T = x.shape[0]
-    if not 1 <= k <= T // 2:
-        raise ValueError(f"k={k} out of range 1..{T // 2}")
-    lam = TWO_PI * k / T
-    s = x @ np.exp(-1j * lam * np.arange(1, T + 1))
-    return float((s.real**2 + s.imag**2) / (TWO_PI * T))
-
-
-def stationary_periodogram_all(x: np.ndarray) -> np.ndarray:
-    """Full-sample periodogram at all Fourier frequencies 2 pi k/T, k = 1..T//2."""
-    x = np.asarray(x, dtype=float)
-    T = x.shape[-1]
-    F = np.fft.rfft(x, axis=-1)[..., 1 : T // 2 + 1]
-    return (F.real**2 + F.imag**2) / (TWO_PI * T)

@@ -4,8 +4,8 @@ Everything here is written as a literal transcription of the defining
 formulas (double/triple loops, explicit complex sums, direct linear solves),
 deliberately sharing no code path with the package implementations.  The
 one exception is loop_aic_select, the per-order reference for the batched
-AIC: it reuses the package's autocovariance, Levinson fits, residual variance
-and periodogram, and checks only how the criterion is assembled over orders.
+AIC: it reuses the package's autocovariance, Levinson fits and periodogram,
+and checks only how the residuals and the criterion are assembled over orders.
 rounded_pre_periodogram_matrix is vectorized because it stands in for the
 package's matrix inside whole bootstrap tests (criterion 5); it is itself
 pinned to the literal sum naive_rounded_pre_periodogram.
@@ -23,7 +23,6 @@ from lsts.sieve import (
     ArFit,
     DegenerateSeriesError,
     _levinson_all,
-    _residual_variance,
     autocovariance,
 )
 from lsts.spectral import stationary_periodogram_all
@@ -174,7 +173,11 @@ def loop_aic_select(x, p_min, p_max):
     sigmas = np.empty(len(orders))
     for i, p in enumerate(orders):
         coeffs = all_fits[p - 1]
-        sigma2 = _residual_variance(x, coeffs)
+        z = x[p:].copy()
+        for j in range(1, p + 1):
+            z -= coeffs[j - 1] * x[p - j : T - j]
+        z -= z.mean()
+        sigma2 = float(z @ z / (T - p))
         if not sigma2 > 0:
             raise DegenerateSeriesError(f"residual variance vanished at order {p}")
         poly = np.zeros(T)

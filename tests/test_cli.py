@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from lsts import StationaryAR, run_test, simulate
-from lsts.cli import bench_cells, main, read_series
+from lsts.cli import bench_cells, build_parser, main, read_series
+from lsts.sieve import ESTIMATORS
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +87,20 @@ class TestTest:
         code, _, err = run_cli(capsys, "test", str(path))
         assert code == 3
         assert "too short" in err
+
+    @pytest.mark.parametrize("command", ["test", "surface"])
+    def test_short_series_mentions_differencing_only_with_diff(self, tmp_path, capsys, command):
+        path = tmp_path / "short.csv"
+        path.write_text("".join(f"{v}\n" for v in range(20)))
+        code, _, err = run_cli(capsys, command, str(path))
+        assert (code, err) == (3, "lsts: error: series too short: 20 observations, need 32\n")
+        code, _, err = run_cli(capsys, command, str(path), "--diff")
+        assert (code, err) == (3, "lsts: error: series too short: 19 observations after differencing, need 32\n")
+
+    def test_estimator_choices_follow_library(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        estimator = next(a for a in sub.choices["test"]._actions if a.dest == "estimator")
+        assert tuple(estimator.choices) == ESTIMATORS
 
     def test_odd_window(self, ar_file, capsys):
         code, _, err = run_cli(capsys, "test", str(ar_file), "--N", "13")
@@ -250,6 +265,15 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "B,message",
+        [("0", "B must be at least 1, got 0"), ("1", "alpha=0.05 with B=1 leaves no admissible order statistic")],
+        ids=["0", "1"],
+    )
+    def test_too_few_replicates(self, capsys, B, message):
+        code, out, err = run_cli(capsys, "bench", "--cell", "T64-N8-ar0.5", "--runs", "50", "--B", B)
+        assert (code, out, err) == (3, "", f"lsts: error: {message}\n")
+
     def test_small_cell_run(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--cell", "T64-N8-ar0.5", "--runs", "50", "--B", "100", "--format", "json"
@@ -291,6 +315,16 @@ class TestReadSeries:
         path = tmp_path / "two.csv"
         path.write_text("1,10\n2,20\n")
         assert np.array_equal(read_series(str(path), "1"), [10.0, 20.0])
+
+    @pytest.mark.parametrize("column", ["-1", "-5"])
+    def test_negative_column_rejected(self, tmp_path, capsys, column):
+        # a one-column file: -1 would silently read the last column, -5 raised IndexError
+        path = tmp_path / "one.csv"
+        path.write_text("".join(f"{v}\n" for v in range(64)))
+        code, out, err = run_cli(capsys, "test", str(path), "--column", column)
+        assert code == 3
+        assert out == ""
+        assert err == f"lsts: error: --column index {column} out of range 0..0 (0-based)\n"
 
     def test_envelope_schema_stable(self, ar_file, capsys):
         _, test_out, _ = run_cli(capsys, "test", str(ar_file), "--N", "16", "--format", "json")

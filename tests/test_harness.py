@@ -24,6 +24,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(model=StationaryMA(), T=64, runs=50, estimator="smoothed")
 
+    @pytest.mark.parametrize("B", [0, -3])
+    def test_replicates_positive(self, B):
+        with pytest.raises(ValueError, match=f"B must be at least 1, got {B}"):
+            ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=B)
+
+    def test_every_alpha_has_an_order_statistic(self):
+        # floor(0.95 * 10) = 9 is admissible, floor(0.05 * 10) = 0 is not
+        ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=10, alphas=(0.05,))
+        with pytest.raises(ValueError, match="alpha=0.95 with B=10"):
+            ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=10, alphas=(0.05, 0.95))
+        with pytest.raises(ValueError, match="alpha=0.05 with B=1"):
+            ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=1)
+
 
 class TestSeedDerivation:
     def test_splitmix_is_stable(self):

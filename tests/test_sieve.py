@@ -13,7 +13,6 @@ from lsts import (
     default_window,
     run_test,
     simulate,
-    yule_walker,
 )
 from lsts import sieve
 from lsts._seeds import MASK64, normal_generator, normal_rows
@@ -36,32 +35,33 @@ TWO_PI = 2.0 * np.pi
 
 class TestYuleWalker:
     def test_hand_computation(self):
-        fit = yule_walker(np.array([1.0, 2.0, 3.0, 4.0]), 1)
-        assert fit.coeffs[0] == pytest.approx(0.3125 / 1.25, abs=1e-14)
-        # residuals 1.75, 2.5, 3.25 centered at 2.5; SS/ (T-p) = 1.125/3
-        assert fit.sigma2 == pytest.approx(0.375, abs=1e-14)
+        # centered series -2..2: gamma(0) = 10/5, gamma(1) = 4/5, so a_1 = 0.4
+        fit = aic_select(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 1, 1)
+        assert fit.coeffs[0] == pytest.approx(0.8 / 2.0, abs=1e-14)
+        # residuals 1.6, 2.2, 2.8, 3.4 centered at 2.5; SS / (T-p) = 1.8/4
+        assert fit.sigma2 == pytest.approx(0.45, abs=1e-14)
 
     def test_white_noise_coefficient_small(self):
         x = simulate(StationaryMA(), 10_000, seed=1)
-        fit = yule_walker(x, 1)
+        fit = aic_select(x, 1, 1)
         assert abs(fit.coeffs[0]) < 0.03
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateSeriesError):
-            yule_walker(np.full(64, 3.0), 2)
+            aic_select(np.full(64, 3.0), 2, 2)
 
     def test_order_bounds(self):
         with pytest.raises(ValueError):
-            yule_walker(np.arange(16.0), 8)
+            aic_select(np.arange(16.0), 8, 8)
         with pytest.raises(ValueError):
-            yule_walker(np.arange(16.0), 0)
+            aic_select(np.arange(16.0), 0, 0)
 
     @pytest.mark.parametrize("p", [1, 3, 7, 10])
     def test_levinson_matches_dense_toeplitz_solve(self, p):
         for seed, T in [(5, 128), (6, 256), (7, 96)]:
             x = simulate(StationaryAR(coeffs=(0.6, -0.2)), T, seed=seed)
             gamma = autocovariance(x, p)
-            fit = yule_walker(x, p)
+            fit = aic_select(x, p, p)
             direct = toeplitz_yule_walker(gamma, p)
             assert np.allclose(fit.coeffs, direct, atol=1e-9)
 
@@ -69,7 +69,7 @@ class TestYuleWalker:
         for seed in range(25):
             model = StationaryAR(coeffs=(0.5,)) if seed % 2 else StationaryMA(coeffs=(0.8,))
             x = simulate(model, 200, seed=seed)
-            fit = yule_walker(x, 6)
+            fit = aic_select(x, 6, 6)
             poly = np.r_[[-c for c in fit.coeffs[::-1]], 1.0]
             roots = np.roots(poly)
             assert np.abs(roots).min() > 1.0
@@ -204,7 +204,7 @@ class TestBootstrapReplicate:
 
     def test_deterministic(self):
         x = simulate(StationaryAR(coeffs=(0.5,)), 64, seed=6)
-        fit = yule_walker(x, 2)
+        fit = aic_select(x, 2, 2)
         a = bootstrap_replicate(x, fit, seed=42)
         b = bootstrap_replicate(x, fit, seed=42)
         assert np.array_equal(a, b)
@@ -212,7 +212,7 @@ class TestBootstrapReplicate:
 
     def test_initial_segment_copied(self):
         x = simulate(StationaryAR(coeffs=(0.5,)), 64, seed=7)
-        fit = yule_walker(x, 3)
+        fit = aic_select(x, 3, 3)
         out = bootstrap_replicate(x, fit, seed=1)
         assert np.array_equal(out[:3], x[:3])
         assert out.shape == x.shape
@@ -250,7 +250,7 @@ class TestReplicateStream:
     def test_replicate_statistics_follow_contract(self, seed, p):
         T, N, B = 64, 8, 30
         x = simulate(StationaryAR(coeffs=(0.5,)), T, seed=31)
-        fit = yule_walker(x, p) if p else ArFit(order=0, coeffs=np.zeros(0), sigma2=float(x.var()))
+        fit = aic_select(x, p, p) if p else ArFit(order=0, coeffs=np.zeros(0), sigma2=float(x.var()))
         grid = make_grid(T, N)
         series = _contract_series(x, fit, B, seed)
         expected = sup_statistic(
@@ -265,7 +265,7 @@ class TestReplicateStream:
         # B=40 at T=64 spans two chunks of the default byte budget
         B, seed = 40, 2**63 + 5
         x = simulate(StationaryAR(coeffs=(0.5,)), T, seed=31)
-        fit = yule_walker(x, p) if p else ArFit(order=0, coeffs=np.zeros(0), sigma2=float(x.var()))
+        fit = aic_select(x, p, p) if p else ArFit(order=0, coeffs=np.zeros(0), sigma2=float(x.var()))
         series = _contract_series(x, fit, B, seed)
         expected = sup_statistic(distance_values(take_pre_periodogram_matrix(series), T * T), T)
         got = _replicate_statistics(x, fit, B, seed, "pre", None)

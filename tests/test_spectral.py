@@ -8,7 +8,6 @@ from lsts import (
     make_grid,
     pre_periodogram,
     pre_periodogram_matrix,
-    stationary_periodogram,
     stationary_periodogram_all,
 )
 from oracles import (
@@ -218,32 +217,24 @@ class TestRoundedPrePeriodogramOracle:
 
 class TestStationaryPeriodogram:
     def test_zero_series(self):
-        assert stationary_periodogram(np.zeros(16), 3) == 0.0
+        assert stationary_periodogram_all(np.zeros(16))[3 - 1] == 0.0
 
     def test_constant_series_at_pi(self):
         # alternating phases cancel for even T at k = T/2
         x = np.full(16, 2.7)
-        assert stationary_periodogram(x, 8) == pytest.approx(0.0, abs=1e-12)
+        assert stationary_periodogram_all(x)[8 - 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_naive(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal(32)
+        pgram = stationary_periodogram_all(x)
         for k in range(1, 17):
-            assert stationary_periodogram(x, k) == pytest.approx(
-                naive_stationary_periodogram(x, k), abs=1e-10
-            )
+            assert pgram[k - 1] == pytest.approx(naive_stationary_periodogram(x, k), abs=1e-10)
 
-    def test_all_matches_scalar(self):
+    def test_odd_length_matches_naive(self):
         rng = np.random.default_rng(37)
-        for T in (31, 32):
-            x = rng.standard_normal(T)
-            allvals = stationary_periodogram_all(x)
-            assert allvals.shape == (T // 2,)
-            for k in range(1, T // 2 + 1):
-                assert allvals[k - 1] == pytest.approx(stationary_periodogram(x, k), abs=1e-12)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            stationary_periodogram(np.zeros(16), 0)
-        with pytest.raises(ValueError):
-            stationary_periodogram(np.zeros(16), 9)
+        x = rng.standard_normal(31)
+        pgram = stationary_periodogram_all(x)
+        assert pgram.shape == (15,)
+        for k in range(1, 16):
+            assert pgram[k - 1] == pytest.approx(naive_stationary_periodogram(x, k), abs=1e-10)

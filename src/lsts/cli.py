@@ -19,7 +19,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,17 +42,13 @@ from .spectral import local_periodogram
 MIN_TEST_LENGTH = 32
 
 
-class CliConfigError(Exception):
-    """Invalid flags or configuration; maps to exit code 3."""
-
-
 class CliDataError(Exception):
     """Unreadable or unparseable input; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliConfigError(message)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -124,30 +120,13 @@ def _alt_model(alt: str) -> ModelSpec:
     return MODELS[name](q=int(q or 1))
 
 
-@dataclass(frozen=True)
-class BenchCell:
-    name: str
-    model: ModelSpec
-    T: int
-    N: int | None
-    estimator: str
-    reference: dict[float, float]
-    default_runs: int
-
-
-def bench_cells() -> dict[str, BenchCell]:
+def bench_cells() -> dict[str, tuple[ExperimentConfig, dict[float, float]]]:
+    """Cell name -> (config at the cell's default runs, published {0.05: r5, 0.10: r10})."""
     cells = {}
 
     def add(name, model, T, N, estimator, r5, r10, null):
-        cells[name] = BenchCell(
-            name=name,
-            model=model,
-            T=T,
-            N=N,
-            estimator=estimator,
-            reference={0.05: r5, 0.10: r10},
-            default_runs=500 if null else 200,
-        )
+        cfg = ExperimentConfig(model=model, T=T, runs=500 if null else 200, N=N, estimator=estimator)
+        cells[name] = cfg, {0.05: r5, 0.10: r10}
 
     for (T, N), by_phi in _AR_REFERENCE.items():
         for phi, (r5, r10) in by_phi.items():
@@ -189,6 +168,7 @@ def read_series(path: str, column: str | None = None) -> np.ndarray:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    text = text.removeprefix("\ufeff")
     rows = [row for row in csv.reader(io.StringIO(text)) if row and any(tok.strip() for tok in row)]
     if not rows:
         raise CliDataError("input contains no data rows")
@@ -201,10 +181,10 @@ def read_series(path: str, column: str | None = None) -> np.ndarray:
         except ValueError:
             names = [tok.strip() for tok in header_row]
             if column not in names:
-                raise CliConfigError(f"--column {column!r} not found in header {names}")
+                raise ValueError(f"--column {column!r} not found in header {names}")
             col_index = names.index(column)
     if not 0 <= col_index < len(header_row):
-        raise CliConfigError(f"--column index {col_index} out of range 0..{len(header_row) - 1} (0-based)")
+        raise ValueError(f"--column index {col_index} out of range 0..{len(header_row) - 1} (0-based)")
 
     start = 0
     if not _is_number(rows[0][col_index].strip()):
@@ -247,14 +227,14 @@ def _prepare_test_series(args) -> np.ndarray:
         x = np.diff(x)
     if x.shape[0] < MIN_TEST_LENGTH:
         after = " after differencing" if args.diff else ""
-        raise CliConfigError(f"series too short: {x.shape[0]} observations{after}, need {MIN_TEST_LENGTH}")
+        raise ValueError(f"series too short: {x.shape[0]} observations{after}, need {MIN_TEST_LENGTH}")
     return x
 
 
 def cmd_test(args) -> int:
     x = _prepare_test_series(args)
     if args.estimator == "local" and args.N is not None and args.N % 2 != 0:
-        raise CliConfigError("--N must be even")
+        raise ValueError("--N must be even")
     start = time.perf_counter()
     result = run_test(
         x,
@@ -325,54 +305,39 @@ def cmd_bench(args) -> int:
     if args.list:
         print(f"{'cell':<22} {'model':<28} {'T':>5} {'N':>4} {'est':<5} {'ref 5%':>7} {'ref 10%':>8}")
         for name in sorted(cells):
-            c = cells[name]
+            c, ref = cells[name]
             n = "-" if c.N is None else str(c.N)
             print(
                 f"{name:<22} {label(c.model):<28} {c.T:>5} {n:>4} {c.estimator:<5} "
-                f"{c.reference[0.05]:>7.3f} {c.reference[0.10]:>8.3f}"
+                f"{ref[0.05]:>7.3f} {ref[0.10]:>8.3f}"
             )
         return 0
     if args.cell is None:
-        raise CliConfigError("--cell NAME or --list is required")
+        raise ValueError("--cell NAME or --list is required")
     if args.cell not in cells:
-        raise CliConfigError(f"unknown cell {args.cell!r} (use --list to enumerate)")
-    cell = cells[args.cell]
-    runs = args.runs if args.runs is not None else cell.default_runs
-    cfg = ExperimentConfig(
-        model=cell.model,
-        T=cell.T,
-        runs=runs,
-        N=cell.N,
-        B=args.B,
-        alphas=(0.05, 0.10),
-        estimator=cell.estimator,
-        seed=args.seed,
-    )
+        raise ValueError(f"unknown cell {args.cell!r} (use --list to enumerate)")
+    cfg, reference = cells[args.cell]
+    cfg = replace(cfg, runs=args.runs if args.runs is not None else cfg.runs, B=args.B, seed=args.seed)
     report = run_experiment(cfg)
     if args.format == "json":
-        payload = _envelope(
-            "bench",
-            args.seed,
-            {"cell": cell.name, "model": label(cell.model), "T": cell.T, "N": cell.N,
-             "B": args.B, "runs": runs, "estimator": cell.estimator},
-            {
-                "reference": {f"{a:g}": v for a, v in cell.reference.items()},
-                "rejection_rates": {f"{a:g}": r for a, r in report.rejection_rates.items()},
-                "standard_errors": {f"{a:g}": s for a, s in report.standard_errors.items()},
-            },
-            report.wall_time,
-        )
-        print(json.dumps(payload, indent=2))
+        d = report.to_dict()
+        config = {"cell": args.cell, **{k: d[k] for k in ("model", "T", "N", "B", "runs", "estimator")}}
+        results = {
+            "reference": {f"{a:g}": v for a, v in reference.items()},
+            "rejection_rates": d["rejection_rates"],
+            "standard_errors": d["standard_errors"],
+        }
+        print(json.dumps(_envelope("bench", cfg.seed, config, results, d["wall_time"]), indent=2))
     else:
-        print(f"cell {cell.name}: {label(cell.model)} T={cell.T} "
-              f"N={'-' if cell.N is None else cell.N} estimator={cell.estimator}")
-        print(f"runs={runs} B={args.B} seed={args.seed}")
+        print(f"cell {args.cell}: {label(cfg.model)} T={cfg.T} "
+              f"N={'-' if cfg.N is None else cfg.N} estimator={cfg.estimator}")
+        print(f"runs={cfg.runs} B={cfg.B} seed={cfg.seed}")
         print(f"{'alpha':>6} {'reference':>10} {'estimate':>9} {'se':>7} {'ci95':>18}")
-        for a in (0.05, 0.10):
+        for a in cfg.alphas:
             r = report.rejection_rates[a]
             s = report.standard_errors[a]
             print(
-                f"{a:>6.2f} {cell.reference[a]:>10.3f} {r:>9.3f} {s:>7.3f} "
+                f"{a:>6.2f} {reference[a]:>10.3f} {r:>9.3f} {s:>7.3f} "
                 f"[{max(0.0, r - 2 * s):>7.3f}, {min(1.0, r + 2 * s):>7.3f}]"
             )
     return 0
@@ -440,7 +405,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (CliConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"lsts: error: {exc}", file=sys.stderr)
         return 3
     except CliDataError as exc:

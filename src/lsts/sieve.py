@@ -269,21 +269,16 @@ def _statistics(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> 
 
 
 def default_window(T: int) -> int:
-    """Default block length: even divisor of T in [T^0.5, T^0.75] closest to T^(5/8).
+    """Default block length: the even N in [T^0.5, T^0.75] closest to T^(5/8), divisors of T first.
 
-    Falls back to the closest even non-divisor in the range (the series tail
-    is then truncated to a multiple of N).  Ties prefer the larger window.
+    A non-divisor truncates the series tail to a multiple of N.  Ties prefer
+    the larger window.  Every T >= 8 has a candidate; shorter series raise.
     """
-    lo, hi = T**0.5, T**0.75
-    target = T**0.625
-    candidates = [n for n in range(4, T // 2 + 1, 2) if lo <= n <= hi and T % n == 0]
-    if not candidates:
-        candidates = [n for n in range(4, T // 2 + 1, 2) if lo <= n <= hi and T // n >= 2]
-    if not candidates:
-        candidates = [n for n in range(4, T // 2 + 1, 2) if T // n >= 2]
+    lo, hi, target = T**0.5, T**0.75, T**0.625
+    candidates = [n for n in range(4, T // 2 + 1, 2) if lo <= n <= hi]
     if not candidates:
         raise ValueError(f"no admissible window length for T={T}")
-    return min(candidates, key=lambda n: (abs(n - target), -n))
+    return min(candidates, key=lambda n: (T % n != 0, abs(n - target), -n))
 
 
 def local_grid(T: int, N: int | None = None) -> SpectralGrid:
@@ -325,7 +320,7 @@ def bootstrap_draws(
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     if B < 1:
-        raise ValueError("B must be positive")
+        raise ValueError(f"B must be at least 1, got {B}")
 
     grid = local_grid(x.shape[0], N) if estimator == "local" else None
     T = grid.T if grid is not None else x.shape[0]
@@ -353,6 +348,8 @@ def bootstrap_draws(
 
 def order_statistic_index(B: int, alpha: float) -> int:
     """1-based index floor((1-alpha) B) of the bootstrap order statistic."""
+    if B < 1:
+        raise ValueError(f"B must be at least 1, got {B}")
     k = int(np.floor((1.0 - alpha) * B + 1e-9))
     if not 1 <= k <= B:
         raise ValueError(f"alpha={alpha} with B={B} leaves no admissible order statistic")
@@ -406,6 +403,7 @@ def run_test(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    order_statistic_index(B, alpha)  # reject an unusable (B, alpha) before drawing
     draws = bootstrap_draws(x, N=N, B=B, p_min=p_min, p_max=p_max, seed=seed, estimator=estimator)
     critical, p_value, reject = decide(draws.statistic, draws.replicates, alpha)
     return TestResult(

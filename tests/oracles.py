@@ -10,7 +10,8 @@ rounded_pre_periodogram_matrix is vectorized because it stands in for the
 package's matrix inside whole bootstrap tests (criterion 5); it is itself
 pinned to the literal sum naive_rounded_pre_periodogram.
 take_pre_periodogram_matrix is the package's earlier index-gather kernel,
-kept as the bit-for-bit reference of the strided one.
+kept as the bit-for-bit reference of the strided one.  three_pass_default_window
+is the package's earlier window rule, kept as the reference of the one-pass rule.
 """
 
 import cmath
@@ -197,6 +198,21 @@ def loop_aic_select(x, p_min, p_max):
         aic_trace=trace,
         candidate_orders=orders,
     )
+
+
+def three_pass_default_window(T):
+    """Even divisors of T in [T^0.5, T^0.75], else even non-divisors in that range,
+    else any even N leaving two blocks; the one closest to T^(5/8), ties to the larger."""
+    lo, hi = T**0.5, T**0.75
+    target = T**0.625
+    candidates = [n for n in range(4, T // 2 + 1, 2) if lo <= n <= hi and T % n == 0]
+    if not candidates:
+        candidates = [n for n in range(4, T // 2 + 1, 2) if lo <= n <= hi and T // n >= 2]
+    if not candidates:
+        candidates = [n for n in range(4, T // 2 + 1, 2) if T // n >= 2]
+    if not candidates:
+        raise ValueError(f"no admissible window length for T={T}")
+    return min(candidates, key=lambda n: (abs(n - target), -n))
 
 
 def limit_sup_samples(f, midpoints, frequencies, n_samples, seed):

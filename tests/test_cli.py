@@ -146,6 +146,10 @@ class TestTest:
         direct = run_test(x, N=16, B=200, alpha=0.05, seed=3)
         assert json.loads(out)["results"]["statistic"] == pytest.approx(direct.statistic, rel=1e-12)
 
+    def test_inadmissible_order_statistic(self, ar_file, capsys):
+        code, out, err = run_cli(capsys, "test", str(ar_file), "--B", "10", "--alpha", "0.95")
+        assert (code, out, err) == (3, "", "lsts: error: alpha=0.95 with B=10 leaves no admissible order statistic\n")
+
     def test_pre_estimator_ignores_odd_window(self, ar_file, capsys):
         code, out, err = run_cli(
             capsys, "test", str(ar_file), "--estimator", "pre", "--N", "13", "--B", "19", "--format", "json"
@@ -250,11 +254,11 @@ class TestBench:
 
     def test_reference_values(self):
         cells = bench_cells()
-        assert cells["T128-N16-ar0.5"].reference == {0.05: 0.034, 0.10: 0.092}
-        assert cells["T128-N16-alt2"].reference[0.05] == 0.396
-        assert cells["T128-pre-alt3"].reference[0.05] == 0.036
-        assert cells["T128-N16-ar0.5"].default_runs == 500
-        assert cells["T128-N16-alt2"].default_runs == 200
+        assert cells["T128-N16-ar0.5"][1] == {0.05: 0.034, 0.10: 0.092}
+        assert cells["T128-N16-alt2"][1][0.05] == 0.396
+        assert cells["T128-pre-alt3"][1][0.05] == 0.036
+        assert cells["T128-N16-ar0.5"][0].runs == 500
+        assert cells["T128-N16-alt2"][0].runs == 200
 
     def test_unknown_cell(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--cell", "T999-N2-ar0")
@@ -315,6 +319,22 @@ class TestReadSeries:
         path = tmp_path / "two.csv"
         path.write_text("1,10\n2,20\n")
         assert np.array_equal(read_series(str(path), "1"), [10.0, 20.0])
+
+    def test_byte_order_mark_without_header(self, tmp_path):
+        values = np.arange(64) + 1.5
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "".join(f"{v}\n" for v in values).encode())
+        assert np.array_equal(read_series(str(path)), values)
+
+    def test_byte_order_mark_with_header(self, tmp_path, monkeypatch):
+        import io
+
+        text = "\ufeffprice,idx\n" + "".join(f"{i + 1.5},{i}\n" for i in range(64))
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8")
+        assert np.array_equal(read_series(str(path), "price"), np.arange(64) + 1.5)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert np.array_equal(read_series("-", "price"), np.arange(64) + 1.5)
 
     @pytest.mark.parametrize("column", ["-1", "-5"])
     def test_negative_column_rejected(self, tmp_path, capsys, column):

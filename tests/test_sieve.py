@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,12 @@ from lsts.sieve import (
     order_statistic_index,
 )
 from lsts.spectral import _block_periodograms, make_grid
-from oracles import loop_aic_select, take_pre_periodogram_matrix, toeplitz_yule_walker
+from oracles import (
+    loop_aic_select,
+    take_pre_periodogram_matrix,
+    three_pass_default_window,
+    toeplitz_yule_walker,
+)
 from scipy.signal import lfilter, lfiltic
 
 TWO_PI = 2.0 * np.pi
@@ -450,6 +457,17 @@ class TestRunTest:
         with pytest.raises(ValueError, match="non-finite"):
             run_test(x, N=8, B=99)
 
+    def test_inadmissible_order_statistic_rejected_before_drawing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("bootstrap_draws called")
+
+        monkeypatch.setattr(sieve, "bootstrap_draws", fail)
+        x = simulate(StationaryMA(), 64, seed=18)
+        with pytest.raises(ValueError, match=r"^alpha=0\.95 with B=10 leaves no admissible order statistic$"):
+            run_test(x, N=8, B=10, alpha=0.95)
+        with pytest.raises(ValueError, match=r"^B must be at least 1, got 0$"):
+            run_test(x, N=8, B=0)
+
     def test_deterministic_in_seed(self):
         x = simulate(StationaryAR(coeffs=(0.5,)), 128, seed=19)
         a = run_test(x, N=16, B=150, seed=20)
@@ -497,6 +515,22 @@ class TestRunTest:
         assert np.all(freq <= 0.18)
 
 
+class TestDrawsInputChecks:
+    def test_two_dimensional_series(self):
+        with pytest.raises(ValueError, match=r"^series must be one-dimensional$"):
+            sieve.bootstrap_draws(np.ones((8, 8)), B=9)
+
+    @pytest.mark.parametrize("B", [0, -2])
+    def test_replicates_positive(self, B):
+        x = simulate(StationaryMA(), 64, seed=18)
+        with pytest.raises(ValueError, match=rf"^B must be at least 1, got {B}$"):
+            sieve.bootstrap_draws(x, N=8, B=B)
+
+    def test_short_pre_series(self):
+        with pytest.raises(ValueError, match=r"^series too short: T=7$"):
+            sieve.bootstrap_draws(np.arange(7.0), B=9, estimator="pre")
+
+
 class TestDefaultWindow:
     @pytest.mark.parametrize("T,expect", [(128, 16), (256, 32), (512, 64), (64, 16)])
     def test_divisor_rule(self, T, expect):
@@ -507,3 +541,13 @@ class TestDefaultWindow:
         N = default_window(257)
         assert N % 2 == 0
         assert 257**0.5 <= N <= 257**0.75
+
+    def test_one_pass_rule_matches_three_pass_rule(self):
+        for T in range(1, 4097):
+            try:
+                expect = three_pass_default_window(T)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    default_window(T)
+            else:
+                assert default_window(T) == expect, T

@@ -5,12 +5,7 @@ process of the local periodogram, calibrated by an AR-sieve bootstrap, plus
 simulation models and a Monte Carlo harness for rejection-rate studies.
 """
 
-from .empirical import (
-    DistanceProcess,
-    distance_process,
-    limit_covariance_h0,
-    pre_distance_process,
-)
+from .empirical import DistanceProcess, limit_covariance_h0
 from .harness import ExperimentConfig, ExperimentReport, run_experiment
 from .models import (
     ModelSpec,
@@ -31,15 +26,13 @@ from .sieve import (
     aic_select,
     ar_spectral_density,
     bootstrap_replicate,
-    default_window,
+    distance_process,
     run_test,
 )
 from .spectral import (
     BadWindowError,
-    LocalPeriodogramMatrix,
-    NonDivisibleError,
     SpectralGrid,
-    local_periodogram,
+    default_window,
     make_grid,
     pre_periodogram,
     pre_periodogram_matrix,
@@ -55,9 +48,7 @@ __all__ = [
     "DistanceProcess",
     "ExperimentConfig",
     "ExperimentReport",
-    "LocalPeriodogramMatrix",
     "ModelSpec",
-    "NonDivisibleError",
     "PiecewiseAR1",
     "ScaledNoise",
     "SpectralGrid",
@@ -72,9 +63,7 @@ __all__ = [
     "default_window",
     "distance_process",
     "limit_covariance_h0",
-    "local_periodogram",
     "make_grid",
-    "pre_distance_process",
     "pre_periodogram",
     "pre_periodogram_matrix",
     "run_experiment",

@@ -23,7 +23,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .empirical import distance_process
 from .harness import ExperimentConfig, run_experiment
 from .models import (
     ModelSpec,
@@ -36,8 +35,7 @@ from .models import (
     label,
     simulate,
 )
-from .sieve import ESTIMATORS, local_grid, run_test
-from .spectral import local_periodogram
+from .sieve import ESTIMATORS, distance_process, run_test
 
 MIN_TEST_LENGTH = 32
 
@@ -163,11 +161,15 @@ def read_series(path: str, column: str | None = None) -> np.ndarray:
     numeric).  `column` selects by 0-based index or by header name; default
     is the first column.
     """
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:  # stdin's bytes where it has them: its text layer may smuggle bad bytes in as surrogates
+        if path == "-":
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:  # a ValueError, which main would report as bad configuration
+        raise CliDataError(f"input is not UTF-8 text: {exc}") from None
     text = text.removeprefix("\ufeff")
     rows = [row for row in csv.reader(io.StringIO(text)) if row and any(tok.strip() for tok in row)]
     if not rows:
@@ -293,8 +295,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_surface(args) -> int:
     x = _prepare_test_series(args)
-    grid = local_grid(x.shape[0], args.N)
-    process = distance_process(local_periodogram(x[: grid.T], grid))
+    process = distance_process(x, args.N)
     with _out_stream(args) as stream:
         process.to_csv(stream)
     return 0

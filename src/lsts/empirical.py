@@ -1,10 +1,10 @@
 """Empirical spectral distance processes and their sup-statistics.
 
 The distance process contrasts the time-localized cumulative spectrum with
-its time-averaged counterpart on the block/frequency grid; scaled by sqrt(T),
-its supremum over the unit square is the Kolmogorov-Smirnov type test
-statistic.  A second construction does the same from the pre-periodogram on
-the full-resolution grid.
+its time-averaged counterpart over a time/frequency grid of spectral
+estimates; scaled by sqrt(T), its supremum over the unit square is the
+Kolmogorov-Smirnov type test statistic.  `sieve.distance_process` builds it
+for a series on the path that also computes the test statistic.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-
-from .spectral import LocalPeriodogramMatrix, pre_periodogram_matrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -62,25 +60,6 @@ class DistanceProcess:
         fileobj.write("u," + ",".join(f"{c:.10g}" for c in self.frequencies) + "\n")
         for u, row in zip(self.times, self.values):
             fileobj.write(f"{u:.10g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def distance_process(periodograms: LocalPeriodogramMatrix) -> DistanceProcess:
-    """Distance process of a local periodogram matrix, at the block midpoints and lambda_1..lambda_{N/2}."""
-    grid = periodograms.grid
-    vals = distance_values(periodograms.values, grid.T)
-    return DistanceProcess(vals, grid.midpoints, grid.frequencies, float(sup_statistic(vals, grid.T)))
-
-
-def pre_distance_process(x: np.ndarray) -> DistanceProcess:
-    """Distance process of the series' pre-periodogram, at t/T, t = 1..T, and 2 pi k/T, k = 1..T//2."""
-    x = np.asarray(x, dtype=float)
-    T = x.shape[0]
-    if T < 8:
-        raise ValueError(f"series too short for the pre-periodogram process: T={T}")
-    vals = distance_values(pre_periodogram_matrix(x), T * T)
-    times = np.arange(1, T + 1) / T
-    freqs = TWO_PI * np.arange(1, T // 2 + 1) / T
-    return DistanceProcess(vals, times, freqs, float(sup_statistic(vals, T)))
 
 
 def limit_covariance_h0(

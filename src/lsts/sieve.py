@@ -3,21 +3,20 @@
 Fits autoregressions by Yule-Walker/Levinson-Durbin, selects the order with a
 Whittle-type AIC, simulates Gaussian pseudo-series from the fitted recursion,
 and turns the sup-statistic plus its bootstrap replicates into a test
-decision.
+decision.  One path here takes a series to its distance process, for the
+observed statistic, every replicate and the exported surface alike.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter, lfiltic
 
 from ._seeds import MASK64, normal_generator, normal_rows
-from .empirical import distance_values, sup_statistic
+from .empirical import DistanceProcess, distance_values, sup_statistic
 from .spectral import (
-    BadWindowError,
     SpectralGrid,
     _block_periodograms,
     make_grid,
@@ -253,48 +252,60 @@ def _replicate_statistics(
     return stats
 
 
+def _estimates(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> tuple[np.ndarray, int]:
+    """Spectral estimates of an (R, T) batch and the distance process's denominator:
+    block periodograms and T (local), or the pre-periodogram matrix and T*T (pre)."""
+    R, T = rows.shape
+    if estimator == "local":
+        return _block_periodograms(rows.reshape(R, grid.M, grid.N)), T
+    return pre_periodogram_matrix(rows), T * T
+
+
 def _statistics(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> np.ndarray:
     """Sup-statistics of the rows of an (R, T) batch; the observed series is a batch of one.
     Pre rows run in chunks of _PRE_CHUNK_BYTES; rows never mix, so batching changes no bit."""
     R, T = rows.shape
-    if estimator == "local":
-        pgrams = _block_periodograms(rows.reshape(R, grid.M, grid.N))
-        return sup_statistic(distance_values(pgrams, T), T)
-    step = _block_rows(8 * T * T, _PRE_CHUNK_BYTES)
+    step = R if estimator == "local" else _block_rows(8 * T * T, _PRE_CHUNK_BYTES)
     stats = np.empty(R)
     for lo in range(0, R, step):
-        J = pre_periodogram_matrix(rows[lo : lo + step])
-        stats[lo : lo + step] = sup_statistic(distance_values(J, T * T), T)
+        # `estimates` keeps this chunk's arrays until the next chunk replaces them: freed earlier,
+        # glibc returns their pages to the OS and faults them in again (T=256 pre: ~35 % slower)
+        estimates = _estimates(rows[lo : lo + step], estimator, grid)
+        stats[lo : lo + step] = sup_statistic(distance_values(*estimates), T)
     return stats
 
 
-def default_window(T: int) -> int:
-    """Default block length: the even N in [T^0.5, T^0.75] closest to T^(5/8), divisors of T first.
+def _observed(x: np.ndarray, N: int | None, estimator: str) -> tuple[np.ndarray, SpectralGrid | None]:
+    """The checked series as the statistic sees it, and its grid (None for pre): the local
+    estimator drops the tail past a multiple of N (see `make_grid`), the pre estimator none."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("series must be one-dimensional")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series contains non-finite values")
+    grid = make_grid(x.shape[0], N) if estimator == "local" else None
+    T = grid.T if grid is not None else x.shape[0]
+    if T < 8:
+        raise ValueError(f"series too short: T={T}")
+    return x[:T], grid
 
-    A non-divisor truncates the series tail to a multiple of N.  Ties prefer
-    the larger window.  Every T >= 8 has a candidate; shorter series raise.
+
+def distance_process(x: np.ndarray, N: int | None = None, estimator: str = "local") -> DistanceProcess:
+    """Distance process of the series; its sup_stat is `run_test`'s statistic, bit for bit.
+
+    Local: at the block midpoints and lambda_1..lambda_{N/2} of `make_grid(T, N)`.
+    Pre: at t/T, t = 1..T, and 2 pi k/T, k = 1..T//2; N is ignored.
     """
-    lo, hi, target = T**0.5, T**0.75, T**0.625
-    candidates = [n for n in range(4, T // 2 + 1, 2) if lo <= n <= hi]
-    if not candidates:
-        raise ValueError(f"no admissible window length for T={T}")
-    return min(candidates, key=lambda n: (T % n != 0, abs(n - target), -n))
-
-
-def local_grid(T: int, N: int | None = None) -> SpectralGrid:
-    """Block grid of the local estimator: N (default_window(T) if omitted) must be even,
-    at least 4 and leave two blocks; a tail past a multiple of N is dropped with a warning."""
-    N = default_window(T) if N is None else N
-    if N % 2 != 0 or N < 4:
-        raise BadWindowError(f"N must be an even integer >= 4, got {N}")
-    if T // N < 2:
-        raise BadWindowError(f"N={N} leaves {T // N} block(s) for T={T}; need at least 2")
-    if T % N:
-        warnings.warn(
-            f"series length {T} not divisible by N={N}; truncating tail to T={T - T % N}",
-            stacklevel=3,
-        )
-    return make_grid(T - T % N, N)
+    x, grid = _observed(x, N, estimator)
+    T = x.shape[0]
+    values = distance_values(*_estimates(x[None], estimator, grid))[0]
+    if grid is not None:
+        times, freqs = grid.midpoints, grid.frequencies
+    else:
+        times, freqs = np.arange(1, T + 1) / T, TWO_PI * np.arange(1, T // 2 + 1) / T
+    return DistanceProcess(values, times, freqs, float(sup_statistic(values, T)))
 
 
 def bootstrap_draws(
@@ -308,27 +319,14 @@ def bootstrap_draws(
 ) -> TestDraws:
     """Observed sup-statistic plus B bootstrap replicate statistics.
 
-    For the local estimator the series tail is truncated to a multiple of the
-    window length N (with a warning); the pre estimator uses the series as is.
-    The AR order is AIC-selected in [p_min, p_max].
+    The series is checked and, for the local estimator, truncated as in
+    `distance_process`.  The AR order is AIC-selected in [p_min, p_max].
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
     if B < 1:
         raise ValueError(f"B must be at least 1, got {B}")
+    x, grid = _observed(x, N, estimator)
 
-    grid = local_grid(x.shape[0], N) if estimator == "local" else None
-    T = grid.T if grid is not None else x.shape[0]
-    x = x[:T]
-    if T < 8:
-        raise ValueError(f"series too short: T={T}")
-
-    lo, hi = default_order_range(T)
+    lo, hi = default_order_range(x.shape[0])
     p_lo = lo if p_min is None else p_min
     p_hi = hi if p_max is None else p_max
     fit = aic_select(x, p_lo, p_hi)

@@ -1,13 +1,14 @@
-"""Periodogram-type spectral estimators.
+"""Periodogram-type spectral estimators and the block/frequency grid.
 
 Three estimators share the package: the ordinary periodogram, used by the
-order-selection criterion on the full sample and by the local periodogram on
-each disjoint length-N block (the workhorse of the test), and the
-lag-product pre-periodogram localized at single time points.
+order-selection criterion on the full sample and by the local statistic on
+each length-N block of `make_grid`, which holds the whole window rule, and
+the lag-product pre-periodogram localized at single time points.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,16 +21,14 @@ class BadWindowError(ValueError):
     """Window length N is odd, too small, or leaves fewer than two blocks."""
 
 
-class NonDivisibleError(ValueError):
-    """Window length N does not divide the sample size T."""
-
-
 @dataclass
 class SpectralGrid:
     """Block/frequency discretization T = N*M.
 
     Block midpoints u_j = (N(j-1) + N/2)/T for j = 1..M and frequencies
     lambda_k = 2 pi k / N for k = 1..N/2 (so lambda_{N/2} = pi exactly).
+    The local periodogram at (u_j, lambda_k) is the periodogram of block j,
+    stationary_periodogram_all(x[:T].reshape(M, N))[j-1, k-1].
     """
 
     T: int
@@ -39,23 +38,32 @@ class SpectralGrid:
     frequencies: np.ndarray
 
 
-@dataclass
-class LocalPeriodogramMatrix:
-    """values[j-1, k-1] = local periodogram at (u_j, lambda_k)."""
+def default_window(T: int) -> int:
+    """Default block length: the even N in [T^0.5, T^0.75] closest to T^(5/8), divisors of T first.
 
-    values: np.ndarray
-    grid: SpectralGrid
+    A non-divisor truncates the series tail to a multiple of N.  Ties prefer
+    the larger window.  Every T >= 8 has a candidate; shorter series raise.
+    """
+    lo, hi, target = T**0.5, T**0.75, T**0.625
+    candidates = [n for n in range(4, T // 2 + 1, 2) if lo <= n <= hi]
+    if not candidates:
+        raise ValueError(f"no admissible window length for T={T}")
+    return min(candidates, key=lambda n: (T % n != 0, abs(n - target), -n))
 
 
-def make_grid(T: int, N: int) -> SpectralGrid:
-    T, N = int(T), int(N)
+def make_grid(T: int, N: int | None = None) -> SpectralGrid:
+    """Block grid of a length-T series: N (default_window(T) if omitted) must be even,
+    at least 4 and leave two blocks; a tail past a multiple of N is dropped with a warning."""
+    T = int(T)
+    N = default_window(T) if N is None else int(N)
     if N % 2 != 0 or N < 4:
         raise BadWindowError(f"N must be an even integer >= 4, got {N}")
-    if T <= 0 or T % N != 0:
-        raise NonDivisibleError(f"N={N} does not divide T={T}")
     M = T // N
     if M < 2:
-        raise BadWindowError(f"N={N} leaves only {M} block(s) for T={T}; need at least 2")
+        raise BadWindowError(f"N={N} leaves {M} block(s) for T={T}; need at least 2")
+    if T % N:
+        warnings.warn(f"series length {T} not divisible by N={N}; truncating tail to T={M * N}", stacklevel=2)
+        T = M * N
     midpoints = (N * np.arange(M) + N // 2) / T
     frequencies = np.pi * (2.0 * np.arange(1, N // 2 + 1) / N)
     return SpectralGrid(T=T, N=N, M=M, midpoints=midpoints, frequencies=frequencies)
@@ -71,21 +79,6 @@ def stationary_periodogram_all(x: np.ndarray) -> np.ndarray:
 
 # second name under which sieve times the local statistic's block periodograms
 _block_periodograms = stationary_periodogram_all
-
-
-def local_periodogram(x: np.ndarray, grid: SpectralGrid) -> LocalPeriodogramMatrix:
-    """Local periodogram matrix over the grid.
-
-    Entry (j, k) is (1/2 pi N)|sum_{s=0}^{N-1} X_{t_j - N/2 + 1 + s} e^{-i lambda_k s}|^2
-    with t_j the j-th block midpoint, i.e. the plain periodogram of block j.
-    With midpoint u_j all blocks lie inside 1..T, so the out-of-range-is-zero
-    convention never triggers on the grid.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != grid.T:
-        raise ValueError(f"series length {x.shape} does not match grid T={grid.T}")
-    values = stationary_periodogram_all(x.reshape(grid.M, grid.N))
-    return LocalPeriodogramMatrix(values=values, grid=grid)
 
 
 def pre_periodogram(x: np.ndarray, t: int, lam):

@@ -118,6 +118,28 @@ class TestTest:
         assert code == 2
         assert "oops" in err
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"prix\xe9\n1.0\n2.0\n")
+        code, out, err = run_cli(capsys, "test", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("lsts: parse error: input is not UTF-8 text:") and "0xe9" in err
+
+    def test_non_utf8_stdin_is_parse_error(self):
+        # a real pipe: Python's stdin text layer may turn the bad byte into a surrogate
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        data = b"prix\xe9\n" + b"".join(b"%d.5\n" % (i % 7) for i in range(64))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsts.cli", "test", "-", "--B", "19"],
+            input=data, env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"lsts: parse error: input is not UTF-8 text:") and b"0xe9" in proc.stderr
+
     def test_diff_flag(self, tmp_path, capsys):
         # a pure random walk differences to white noise
         rng = np.random.default_rng(5)
@@ -175,11 +197,11 @@ class TestSurface:
         assert all(float(v) == 0.0 for row in rows for v in row)
 
     def test_matches_library_surface(self, ar_file, capsys):
-        from lsts import distance_process, local_periodogram, make_grid
+        from lsts import distance_process
 
         code, out, _ = run_cli(capsys, "surface", str(ar_file), "--N", "16")
         x = simulate(StationaryAR(coeffs=(0.5,)), 128, seed=7)
-        proc = distance_process(local_periodogram(x, make_grid(128, 16)))
+        proc = distance_process(x, 16)
         first_row = [float(v) for v in out.strip().splitlines()[1].split(",")[1:]]
         assert np.allclose(first_row, proc.values[0], atol=1e-15)
 

@@ -5,13 +5,10 @@ from lsts import (
     StationaryMA,
     distance_process,
     limit_covariance_h0,
-    local_periodogram,
     make_grid,
-    pre_distance_process,
     simulate,
 )
 from lsts.empirical import distance_values, sup_statistic
-from lsts.spectral import LocalPeriodogramMatrix
 from oracles import (
     distance_at,
     limit_sup_samples,
@@ -25,8 +22,7 @@ TWO_PI = 2.0 * np.pi
 
 class TestDistanceProcess:
     def test_zero_matrix(self):
-        grid = make_grid(64, 8)
-        proc = distance_process(LocalPeriodogramMatrix(values=np.zeros((8, 4)), grid=grid))
+        proc = distance_process(np.zeros(64), 8)
         assert np.all(proc.values == 0)
         assert proc.sup_stat == 0.0
 
@@ -58,8 +54,7 @@ class TestDistanceProcess:
 
     def test_sup_stat_recompute(self):
         x = simulate(StationaryMA(), 128, seed=8)
-        grid = make_grid(128, 16)
-        proc = distance_process(local_periodogram(x, grid))
+        proc = distance_process(x, 16)
         assert proc.sup_stat >= 0
         assert proc.sup_stat == pytest.approx(
             np.sqrt(128) * np.abs(proc.values).max(), abs=1e-12
@@ -89,7 +84,7 @@ class TestDistanceProcess:
 
         def cell(model, seed):
             x = simulate(model, T, seed=seed)
-            return distance_process(local_periodogram(x, grid)).values[j_mid, k_last]
+            return distance_process(x, N).values[j_mid, k_last]
 
         null_cells = np.array([cell(StationaryMA(), 3000 + s) for s in range(200)])
         lo, hi = np.quantile(null_cells, [0.025, 0.975])
@@ -99,8 +94,7 @@ class TestDistanceProcess:
 
     def test_csv_export(self, tmp_path):
         x = simulate(StationaryMA(), 64, seed=8)
-        grid = make_grid(64, 8)
-        proc = distance_process(local_periodogram(x, grid))
+        proc = distance_process(x, 8)
         out = tmp_path / "surface.csv"
         with open(out, "w") as fh:
             proc.to_csv(fh)
@@ -112,19 +106,19 @@ class TestDistanceProcess:
 
 class TestPreDistanceProcess:
     def test_zero_series(self):
-        proc = pre_distance_process(np.zeros(16))
+        proc = distance_process(np.zeros(16), estimator="pre")
         assert np.all(proc.values == 0)
         assert proc.sup_stat == 0.0
 
     def test_last_row_zero(self):
         rng = np.random.default_rng(3)
-        proc = pre_distance_process(rng.standard_normal(32))
+        proc = distance_process(rng.standard_normal(32), estimator="pre")
         assert np.all(proc.values[-1] == 0.0)
 
     def test_matches_naive_triple_loop(self):
         T = 16
         x = simulate(StationaryMA(), T, seed=77)
-        proc = pre_distance_process(x)
+        proc = distance_process(x, estimator="pre")
         assert proc.values.shape == (T, T // 2)
         J = np.empty((T, T // 2))
         for t in range(1, T + 1):
@@ -138,11 +132,11 @@ class TestPreDistanceProcess:
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            pre_distance_process(np.zeros(4))
+            distance_process(np.zeros(4), estimator="pre")
 
     def test_csv_export(self, tmp_path):
         rng = np.random.default_rng(6)
-        proc = pre_distance_process(rng.standard_normal(16))
+        proc = distance_process(rng.standard_normal(16), estimator="pre")
         out = tmp_path / "pre.csv"
         with open(out, "w") as fh:
             proc.to_csv(fh)
@@ -180,7 +174,7 @@ class TestLimitConsistency:
         stats = np.empty(500)
         for s in range(500):
             x = simulate(model, T, seed=40_000 + s)
-            stats[s] = distance_process(local_periodogram(x, grid)).sup_stat
+            stats[s] = distance_process(x, N).sup_stat
         empirical_q = np.quantile(stats, 0.95)
         sups = limit_sup_samples(
             lambda lam: 1 / TWO_PI, grid.midpoints, grid.frequencies, 60_000, seed=5

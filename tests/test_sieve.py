@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -529,6 +530,28 @@ class TestDrawsInputChecks:
     def test_short_pre_series(self):
         with pytest.raises(ValueError, match=r"^series too short: T=7$"):
             sieve.bootstrap_draws(np.arange(7.0), B=9, estimator="pre")
+
+
+class TestSurfaceIsStatistic:
+    """`distance_process` and `bootstrap_draws` share one path from series to statistic."""
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("T,N", [(128, 16), (130, 16)])
+    def test_sup_stat_equals_observed_statistic(self, estimator, T, N):
+        x = simulate(StationaryAR(coeffs=(0.5,)), T, seed=21)
+        with warnings.catch_warnings(record=True) as surface_warnings:
+            warnings.simplefilter("always")
+            proc = sieve.distance_process(x, N, estimator)
+        with warnings.catch_warnings(record=True) as draws_warnings:
+            warnings.simplefilter("always")
+            draws = sieve.bootstrap_draws(x, N=N, B=1, estimator=estimator)
+        assert proc.sup_stat == draws.statistic
+        messages = [str(w.message) for w in surface_warnings]
+        assert messages == [str(w.message) for w in draws_warnings]
+        if estimator == "local" and T % N:
+            assert messages == [f"series length {T} not divisible by N={N}; truncating tail to T=128"]
+        else:
+            assert messages == []
 
 
 class TestDefaultWindow:

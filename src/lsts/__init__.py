@@ -24,7 +24,6 @@ from .sieve import (
     DegenerateSeriesError,
     TestResult,
     aic_select,
-    ar_spectral_density,
     bootstrap_replicate,
     distance_process,
     run_test,
@@ -58,7 +57,6 @@ __all__ = [
     "TvAR1Sqrt",
     "TvMA1Lag",
     "aic_select",
-    "ar_spectral_density",
     "bootstrap_replicate",
     "default_window",
     "distance_process",

@@ -32,7 +32,6 @@ from .models import (
     StationaryMA,
     TvAR1Sqrt,
     TvMA1Lag,
-    label,
     simulate,
 )
 from .sieve import ESTIMATORS, distance_process, run_test
@@ -309,7 +308,7 @@ def cmd_bench(args) -> int:
             c, ref = cells[name]
             n = "-" if c.N is None else str(c.N)
             print(
-                f"{name:<22} {label(c.model):<28} {c.T:>5} {n:>4} {c.estimator:<5} "
+                f"{name:<22} {c.model.label():<28} {c.T:>5} {n:>4} {c.estimator:<5} "
                 f"{ref[0.05]:>7.3f} {ref[0.10]:>8.3f}"
             )
         return 0
@@ -330,7 +329,7 @@ def cmd_bench(args) -> int:
         }
         print(json.dumps(_envelope("bench", cfg.seed, config, results, d["wall_time"]), indent=2))
     else:
-        print(f"cell {args.cell}: {label(cfg.model)} T={cfg.T} "
+        print(f"cell {args.cell}: {cfg.model.label()} T={cfg.T} "
               f"N={'-' if cfg.N is None else cfg.N} estimator={cfg.estimator}")
         print(f"runs={cfg.runs} B={cfg.B} seed={cfg.seed}")
         print(f"{'alpha':>6} {'reference':>10} {'estimate':>9} {'se':>7} {'ci95':>18}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import run_seed
-from .models import ModelSpec, label, simulate
+from .models import ModelSpec, simulate
 from .sieve import ESTIMATORS, bootstrap_draws, decide, order_statistic_index
 
 
@@ -38,11 +38,13 @@ class ExperimentConfig:
         self.alphas = tuple(float(a) for a in self.alphas)
         if self.runs < 50:
             raise ValueError(f"need at least 50 runs for a meaningful rate, got {self.runs}")
-        if not self.alphas or not all(0.0 < a < 1.0 for a in self.alphas):
-            raise ValueError(f"alphas must lie in (0, 1), got {self.alphas}")
+        if not self.alphas:
+            raise ValueError("alphas must name at least one level")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        for a in self.alphas:  # also rejects B < 1
+        if self.estimator == "pre":  # window-free: report no N, as run_test does
+            self.N = None
+        for a in self.alphas:  # the (B, alpha) rule of run_test
             order_statistic_index(self.B, a)
 
 
@@ -58,7 +60,7 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         cfg = self.config
         return {
-            "model": label(cfg.model),
+            "model": cfg.model.label(),
             "T": cfg.T,
             "N": cfg.N,
             "B": cfg.B,
@@ -80,7 +82,7 @@ class ExperimentReport:
         m = "-" if cfg.N is None else str(cfg.T // cfg.N)
         n = "-" if cfg.N is None else str(cfg.N)
         lines = [
-            f"model={label(cfg.model)} estimator={cfg.estimator} "
+            f"model={cfg.model.label()} estimator={cfg.estimator} "
             f"B={cfg.B} runs={cfg.runs} seed={cfg.seed}",
             f"{'T':>6} {'N':>4} {'M':>4} "
             + " ".join(f"{100 * a:>7.3g}%" for a in cfg.alphas),

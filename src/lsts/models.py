@@ -198,11 +198,6 @@ def _tvma_coeff(u):
     return 0.8 * np.cos(1.5 - np.cos(4.0 * np.pi * np.asarray(u, dtype=float)))
 
 
-def label(model: ModelSpec) -> str:
-    """Short human-readable tag for reports."""
-    return model.label()
-
-
 def simulate(model: ModelSpec, T: int, seed: int) -> np.ndarray:
     """Draw one sample path of length T, deterministic in (model, T, seed).
 

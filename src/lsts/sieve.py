@@ -54,33 +54,32 @@ class ArFit:
 
 
 @dataclass
-class TestResult:
+class TestDraws:
+    """Observed statistic and bootstrap replicates, before any alpha is chosen.
+
+    T is the length the statistic saw; N and M are the window and block count
+    of the local grid, None for pre.
+    """
+
     statistic: float
     replicates: np.ndarray
-    critical_value: float
-    p_value: float
-    reject: bool
     T: int
     N: int | None
     M: int | None
     B: int
-    alpha: float
     order: int
     seed: int
     estimator: str
 
 
 @dataclass
-class TestDraws:
-    """Observed statistic and bootstrap replicates, before any alpha is chosen."""
+class TestResult(TestDraws):
+    """The draws plus the decision at level alpha."""
 
-    statistic: float
-    replicates: np.ndarray
-    fit: ArFit
-    grid: SpectralGrid | None
-    series: np.ndarray
-    seed: int
-    estimator: str
+    alpha: float
+    critical_value: float
+    p_value: float
+    reject: bool
 
 
 def autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -111,18 +110,6 @@ def _levinson_all(gamma: np.ndarray, p_max: int) -> list[np.ndarray]:
         pred_var *= 1.0 - kappa * kappa
         fits.append(a.copy())
     return fits
-
-
-def ar_spectral_density(fit: ArFit, lam):
-    """Spectral density sigma^2 / (2 pi |1 - sum_j a_j e^{-i lam j}|^2) of the fit."""
-    lam = np.asarray(lam, dtype=float)
-    transfer = np.ones_like(lam, dtype=complex)
-    for j, c in enumerate(fit.coeffs, start=1):
-        transfer = transfer - c * np.exp(-1j * lam * j)
-    out = fit.sigma2 / (TWO_PI * np.abs(transfer) ** 2)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def default_order_range(T: int) -> tuple[int, int]:
@@ -331,21 +318,23 @@ def bootstrap_draws(
     p_hi = hi if p_max is None else p_max
     fit = aic_select(x, p_lo, p_hi)
 
-    statistic = float(_statistics(x[None], estimator, grid)[0])
-    replicates = _replicate_statistics(x, fit, B, seed, estimator, grid)
     return TestDraws(
-        statistic=statistic,
-        replicates=replicates,
-        fit=fit,
-        grid=grid,
-        series=x,
+        statistic=float(_statistics(x[None], estimator, grid)[0]),
+        replicates=_replicate_statistics(x, fit, B, seed, estimator, grid),
+        T=x.shape[0],
+        N=grid.N if grid is not None else None,
+        M=grid.M if grid is not None else None,
+        B=B,
+        order=fit.order,
         seed=seed,
         estimator=estimator,
     )
 
 
 def order_statistic_index(B: int, alpha: float) -> int:
-    """1-based index floor((1-alpha) B) of the bootstrap order statistic."""
+    """1-based index floor((1-alpha) B) of the bootstrap order statistic; the one (B, alpha) check."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if B < 1:
         raise ValueError(f"B must be at least 1, got {B}")
     k = int(np.floor((1.0 - alpha) * B + 1e-9))
@@ -399,23 +388,8 @@ def run_test(
     estimator : {"local", "pre"}
         Which distance process drives the statistic.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     order_statistic_index(B, alpha)  # reject an unusable (B, alpha) before drawing
     draws = bootstrap_draws(x, N=N, B=B, p_min=p_min, p_max=p_max, seed=seed, estimator=estimator)
     critical, p_value, reject = decide(draws.statistic, draws.replicates, alpha)
-    return TestResult(
-        statistic=draws.statistic,
-        replicates=draws.replicates,
-        critical_value=critical,
-        p_value=p_value,
-        reject=reject,
-        T=draws.series.shape[0],
-        N=draws.grid.N if draws.grid is not None else None,
-        M=draws.grid.M if draws.grid is not None else None,
-        B=B,
-        alpha=alpha,
-        order=draws.fit.order,
-        seed=seed,
-        estimator=estimator,
-    )
+    # vars, not dataclasses.asdict, which would deep-copy the replicates
+    return TestResult(**vars(draws), alpha=alpha, critical_value=critical, p_value=p_value, reject=reject)

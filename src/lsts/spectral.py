@@ -8,6 +8,8 @@ the lag-product pre-periodogram localized at single time points.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -15,6 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 TWO_PI = 2.0 * np.pi
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class BadWindowError(ValueError):
@@ -53,16 +57,23 @@ def default_window(T: int) -> int:
 
 def make_grid(T: int, N: int | None = None) -> SpectralGrid:
     """Block grid of a length-T series: N (default_window(T) if omitted) must be even,
-    at least 4 and leave two blocks; a tail past a multiple of N is dropped with a warning."""
+    at least 4 and leave two blocks; a tail past a multiple of N is dropped with a warning
+    that names the first caller outside the package."""
+    if not float(T).is_integer():
+        raise ValueError(f"series length T must be an integer, got {T}")
     T = int(T)
-    N = default_window(T) if N is None else int(N)
-    if N % 2 != 0 or N < 4:
+    N = default_window(T) if N is None else N
+    if not float(N).is_integer() or int(N) % 2 or int(N) < 4:
         raise BadWindowError(f"N must be an even integer >= 4, got {N}")
+    N = int(N)
     M = T // N
     if M < 2:
         raise BadWindowError(f"N={N} leaves {M} block(s) for T={T}; need at least 2")
     if T % N:
-        warnings.warn(f"series length {T} not divisible by N={N}; truncating tail to T={M * N}", stacklevel=2)
+        frame, level = sys._getframe(1), 2  # skip_file_prefixes of Python 3.12, on 3.10
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"series length {T} not divisible by N={N}; truncating tail to T={M * N}", stacklevel=level)
         T = M * N
     midpoints = (N * np.arange(M) + N // 2) / T
     frequencies = np.pi * (2.0 * np.arange(1, N // 2 + 1) / N)

@@ -29,6 +29,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"B must be at least 1, got {B}"):
             ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=B)
 
+    def test_pre_reports_no_window(self):
+        # the pre estimator ignores N, so its report must not show one
+        cfg = ExperimentConfig(model=StationaryMA(), T=32, runs=50, N=16, B=19, estimator="pre")
+        assert cfg.N is None
+        report = run_experiment(cfg)
+        assert report.to_dict()["N"] is None
+        assert report.format_table().splitlines()[2].split()[:3] == ["32", "-", "-"]
+
     def test_every_alpha_has_an_order_statistic(self):
         # floor(0.95 * 10) = 9 is admissible, floor(0.05 * 10) = 0 is not
         ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=10, alphas=(0.05,))

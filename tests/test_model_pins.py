@@ -25,7 +25,6 @@ from lsts import (
     true_spectral_density,
 )
 from lsts.cli import build_parser, main
-from lsts.models import label
 
 SEED = 20261018
 U = np.linspace(0.0, 1.0, 11)[:, None]
@@ -102,7 +101,7 @@ def sha256(a: np.ndarray) -> str:
 @pytest.mark.parametrize("model", MODELS, ids=IDS)
 class TestPinnedModel:
     def test_label(self, model):
-        assert label(model) == PINS[model][0]
+        assert model.label() == PINS[model][0]
 
     def test_simulated_path(self, model):
         assert sha256(simulate(model, 256, SEED)) == PINS[model][1]

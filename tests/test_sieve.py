@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsts import (
+    BadWindowError,
     DegenerateSeriesError,
+    ExperimentConfig,
     StationaryAR,
     StationaryMA,
     aic_select,
-    ar_spectral_density,
     bootstrap_replicate,
     default_window,
     run_test,
@@ -37,8 +38,6 @@ from oracles import (
     toeplitz_yule_walker,
 )
 from scipy.signal import lfilter, lfiltic
-
-TWO_PI = 2.0 * np.pi
 
 
 class TestYuleWalker:
@@ -81,24 +80,6 @@ class TestYuleWalker:
             poly = np.r_[[-c for c in fit.coeffs[::-1]], 1.0]
             roots = np.roots(poly)
             assert np.abs(roots).min() > 1.0
-
-
-class TestArSpectralDensity:
-    def test_order_zero_flat(self):
-        fit = ArFit(order=0, coeffs=np.empty(0), sigma2=1.0)
-        assert ar_spectral_density(fit, 0.3) == pytest.approx(1 / TWO_PI)
-
-    def test_hand_values(self):
-        fit = ArFit(order=1, coeffs=np.array([0.5]), sigma2=1.0)
-        assert ar_spectral_density(fit, 0.0) == pytest.approx(2 / np.pi)
-        assert ar_spectral_density(fit, np.pi) == pytest.approx(1 / (TWO_PI * 2.25))
-
-    def test_vectorized(self):
-        fit = ArFit(order=1, coeffs=np.array([0.5]), sigma2=2.0)
-        lam = np.linspace(0, np.pi, 9)
-        out = ar_spectral_density(fit, lam)
-        assert out.shape == lam.shape
-        assert np.all(out > 0)
 
 
 class TestAicSelect:
@@ -448,6 +429,20 @@ class TestRunTest:
         with pytest.raises(ValueError):
             run_test(x, N=8, B=99, alpha=1.5)
 
+    @pytest.mark.parametrize("N", [8.9, 16.5])
+    def test_fractional_window_rejected(self, N):
+        x = simulate(StationaryMA(), 128, seed=18)
+        with pytest.raises(BadWindowError, match=rf"^N must be an even integer >= 4, got {N}$"):
+            run_test(x, N=N, B=9)
+
+    @pytest.mark.parametrize("N", [16.0, np.int64(16)])
+    def test_integral_window_of_any_type_accepted(self, N):
+        x = simulate(StationaryMA(), 128, seed=18)
+        got, want = run_test(x, N=N, B=9), run_test(x, N=16, B=9)
+        assert type(got.N) is int
+        for name, value in vars(want).items():
+            assert np.array_equal(getattr(got, name), value), name
+
     def test_estimator_validation(self):
         x = simulate(StationaryMA(), 64, seed=18)
         with pytest.raises(ValueError):
@@ -514,6 +509,54 @@ class TestRunTest:
         freq = freq / 300
         assert np.all(freq >= 0.04)
         assert np.all(freq <= 0.18)
+
+
+class TestResultIsDrawsPlusDecision:
+    """`run_test` is `bootstrap_draws` followed by `decide`, field by field."""
+
+    @pytest.mark.parametrize("estimator,T,N", [("local", 128, 16), ("pre", 64, None)])
+    def test_fields_equal_draws_plus_decision(self, estimator, T, N):
+        x = simulate(StationaryAR(coeffs=(0.5,)), T, seed=23)
+        result = run_test(x, N=N, B=49, alpha=0.1, seed=24, estimator=estimator)
+        draws = sieve.bootstrap_draws(x, N=N, B=49, seed=24, estimator=estimator)
+        assert isinstance(result, sieve.TestDraws)
+        for name, value in vars(draws).items():
+            assert np.array_equal(getattr(result, name), value), name
+        critical, p_value, reject = decide(draws.statistic, draws.replicates, 0.1)
+        assert (result.alpha, result.critical_value, result.p_value, result.reject) == (
+            0.1, critical, p_value, reject,
+        )
+        assert list(vars(result)) == list(vars(draws)) + ["alpha", "critical_value", "p_value", "reject"]
+
+    def test_one_alpha_rule(self):
+        x = simulate(StationaryMA(), 64, seed=18)
+        with pytest.raises(ValueError) as from_test:
+            run_test(x, N=8, B=99, alpha=1.5)
+        with pytest.raises(ValueError) as from_config:
+            ExperimentConfig(model=StationaryMA(), T=64, runs=50, alphas=(0.05, 1.5))
+        assert str(from_test.value) == str(from_config.value) == "alpha must be in (0, 1), got 1.5"
+
+
+class TestWarningLocation:
+    """The truncation warning names the caller's line, not the package's."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: run_test(x, N=16, B=9),
+            lambda x: sieve.bootstrap_draws(x, N=16, B=9),
+            lambda x: sieve.distance_process(x, 16),
+            lambda x: make_grid(x.shape[0], 16),
+        ],
+        ids=["run_test", "bootstrap_draws", "distance_process", "make_grid"],
+    )
+    def test_warning_names_this_file(self, call):
+        x = simulate(StationaryMA(), 130, seed=14)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(x)
+        assert [w.filename for w in caught] == [__file__]
+        assert "truncating tail to T=128" in str(caught[0].message)
 
 
 class TestDrawsInputChecks:

@@ -43,6 +43,20 @@ class TestMakeGrid:
             grid = make_grid(100, 16)
         assert grid.T == 96
 
+    @pytest.mark.parametrize("N", [8.9, 16.5, np.float64(7.5)])
+    def test_fractional_window(self, N):
+        with pytest.raises(BadWindowError, match=rf"^N must be an even integer >= 4, got {N}$"):
+            make_grid(128, N)
+
+    def test_fractional_length(self):
+        with pytest.raises(ValueError, match=r"^series length T must be an integer, got 128\.9$"):
+            make_grid(128.9, 16)
+
+    @pytest.mark.parametrize("N", [16.0, np.int64(16), np.float64(16.0)])
+    def test_integral_window_of_any_type(self, N):
+        grid = make_grid(128, N)
+        assert grid.N == 16 and type(grid.N) is int and grid.M == 8
+
     def test_single_block(self):
         with pytest.raises(BadWindowError):
             make_grid(16, 16)

@@ -145,20 +145,13 @@ def bench_cells() -> dict[str, tuple[ExperimentConfig, dict[float, float]]]:
 # ---------------------------------------------------------------------------
 
 
-def _is_number(token: str) -> bool:
-    try:
-        value = float(token)
-    except ValueError:
-        return False
-    return np.isfinite(value)
-
-
 def read_series(path: str, column: str | None = None) -> np.ndarray:
     """Read one column of numbers from a CSV file ('-' for stdin).
 
-    A header row is auto-detected (first token of the selected column not
-    numeric).  `column` selects by 0-based index or by header name; default
-    is the first column.
+    A header row is auto-detected (first token of the selected column does
+    not parse as a float); a value that parses but is not finite is an
+    error.  `column` selects by 0-based index or by header name; default is
+    the first column.
     """
     try:  # stdin's bytes where it has them: its text layer may smuggle bad bytes in as surrogates
         if path == "-":
@@ -188,14 +181,19 @@ def read_series(path: str, column: str | None = None) -> np.ndarray:
         raise ValueError(f"--column index {col_index} out of range 0..{len(header_row) - 1} (0-based)")
 
     start = 0
-    if not _is_number(rows[0][col_index].strip()):
+    try:
+        float(rows[0][col_index])
+    except ValueError:
         start = 1  # header row
     values = []
     for lineno, row in enumerate(rows[start:], start=start + 1):
         token = row[col_index].strip() if col_index < len(row) else ""
-        if not _is_number(token):
-            raise CliDataError(f"non-numeric value {token!r} at data row {lineno}")
-        values.append(float(token))
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise CliDataError(f"non-numeric value {token!r} at data row {lineno}") from None
+        if not np.isfinite(values[-1]):
+            raise CliDataError(f"non-finite value {token!r} at data row {lineno}")
     if not values:
         raise CliDataError("no numeric data after the header")
     return np.asarray(values)

@@ -8,7 +8,6 @@ changes any individual result.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +17,7 @@ import numpy as np
 
 from ._seeds import run_seed
 from .models import ModelSpec, simulate
-from .sieve import ESTIMATORS, bootstrap_draws, decide, order_statistic_index
+from .sieve import ESTIMATORS, TestDraws, bootstrap_draws, decide, order_statistic_index
 
 
 @dataclass
@@ -50,7 +49,11 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
+    """Rates per alpha over the runs; N and M are the grid all runs shared, None for pre."""
+
     config: ExperimentConfig
+    N: int | None
+    M: int | None
     rejection_rates: dict[float, float]
     standard_errors: dict[float, float]
     rejection_counts: dict[float, int]
@@ -62,7 +65,7 @@ class ExperimentReport:
         return {
             "model": cfg.model.label(),
             "T": cfg.T,
-            "N": cfg.N,
+            "N": self.N,
             "B": cfg.B,
             "runs": cfg.runs,
             "estimator": cfg.estimator,
@@ -74,13 +77,10 @@ class ExperimentReport:
             "wall_time": self.wall_time,
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     def format_table(self) -> str:
         cfg = self.config
-        m = "-" if cfg.N is None else str(cfg.T // cfg.N)
-        n = "-" if cfg.N is None else str(cfg.N)
+        n = "-" if self.N is None else str(self.N)
+        m = "-" if self.M is None else str(self.M)
         lines = [
             f"model={cfg.model.label()} estimator={cfg.estimator} "
             f"B={cfg.B} runs={cfg.runs} seed={cfg.seed}",
@@ -93,11 +93,11 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _single_run(cfg: ExperimentConfig, index: int) -> tuple[int, float, tuple[bool, ...]]:
+def _single_run(cfg: ExperimentConfig, index: int) -> TestDraws:
     seed_i = run_seed(cfg.seed, index)
     try:
         x = simulate(cfg.model, cfg.T, seed_i)
-        draws = bootstrap_draws(
+        return bootstrap_draws(
             x,
             N=cfg.N,
             B=cfg.B,
@@ -106,54 +106,35 @@ def _single_run(cfg: ExperimentConfig, index: int) -> tuple[int, float, tuple[bo
             seed=seed_i,
             estimator=cfg.estimator,
         )
-        rejections = tuple(decide(draws.statistic, draws.replicates, a)[2] for a in cfg.alphas)
     except Exception as exc:
         raise RuntimeError(f"run {index} (seed {seed_i}) failed: {exc}") from exc
-    return index, draws.statistic, rejections
 
 
-def resolve_jobs(n_jobs: int | None = None) -> int:
-    """Worker count: explicit argument, else LSTS_THREADS, else 1; at most os.cpu_count()."""
-    if n_jobs is None:
-        env = os.environ.get("LSTS_THREADS", "").strip()
-        try:
-            n_jobs = int(env) if env else 1
-        except ValueError:
-            raise ValueError(f"LSTS_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(int(n_jobs), os.cpu_count() or 1))
-
-
-def run_experiment(cfg: ExperimentConfig, n_jobs: int | None = None) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, n_jobs: int = 1) -> ExperimentReport:
     """Estimate rejection probabilities for the configuration.
 
-    The report is identical for any worker count: results are keyed by run
-    index and aggregated order-independently.
+    Runs go to up to n_jobs worker processes, at most os.cpu_count(); the
+    report is identical for any worker count, since `map` keeps run order.
     """
-    jobs = resolve_jobs(n_jobs)
+    jobs = max(1, min(n_jobs, os.cpu_count() or 1))
     start = time.perf_counter()
     if jobs == 1:
-        results = [_single_run(cfg, i) for i in range(cfg.runs)]
+        draws = [_single_run(cfg, i) for i in range(cfg.runs)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, cfg.runs // (4 * jobs))
-            results = list(
-                pool.map(_single_run, [cfg] * cfg.runs, range(cfg.runs), chunksize=chunk)
-            )
-    elapsed = time.perf_counter() - start
+            draws = list(pool.map(_single_run, [cfg] * cfg.runs, range(cfg.runs), chunksize=chunk))
 
-    statistics = np.empty(cfg.runs)
-    counts = {a: 0 for a in cfg.alphas}
-    for index, stat, rejections in results:
-        statistics[index] = stat
-        for a, rej in zip(cfg.alphas, rejections):
-            counts[a] += bool(rej)
+    counts = {a: sum(decide(d.statistic, d.replicates, a)[2] for d in draws) for a in cfg.alphas}
     rates = {a: counts[a] / cfg.runs for a in cfg.alphas}
     ses = {a: float(np.sqrt(rates[a] * (1.0 - rates[a]) / cfg.runs)) for a in cfg.alphas}
     return ExperimentReport(
         config=cfg,
+        N=draws[0].N,
+        M=draws[0].M,
         rejection_rates=rates,
         standard_errors=ses,
         rejection_counts=counts,
-        statistics=statistics,
-        wall_time=elapsed,
+        statistics=np.array([d.statistic for d in draws]),
+        wall_time=time.perf_counter() - start,
     )

@@ -118,6 +118,18 @@ class TestTest:
         assert code == 2
         assert "oops" in err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [1, 11])
+    def test_non_finite_value_is_parse_error(self, tmp_path, capsys, token, row):
+        # a first-row nan parses as a float, so it is data, not a header to drop
+        values = [f"{v}.5" for v in range(64)]
+        values.insert(row - 1, token)
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("".join(f"{v}\n" for v in values))
+        code, out, err = run_cli(capsys, "test", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"lsts: parse error: non-finite value {token!r} at data row {row}\n"
+
     def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "latin.csv"
         path.write_bytes(b"prix\xe9\n1.0\n2.0\n")

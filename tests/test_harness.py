@@ -4,9 +4,19 @@ import os
 import numpy as np
 import pytest
 
-from lsts import ExperimentConfig, StationaryAR, StationaryMA, TvAR1Sqrt, run_experiment
+from lsts import (
+    ExperimentConfig,
+    ScaledNoise,
+    StationaryAR,
+    StationaryMA,
+    TvAR1Sqrt,
+    harness,
+    run_experiment,
+    run_test,
+    sieve,
+    simulate,
+)
 from lsts._seeds import run_seed, splitmix64
-from lsts.harness import resolve_jobs
 
 
 class TestConfigValidation:
@@ -37,6 +47,16 @@ class TestConfigValidation:
         assert report.to_dict()["N"] is None
         assert report.format_table().splitlines()[2].split()[:3] == ["32", "-", "-"]
 
+    def test_omitted_window_reported_from_runs(self):
+        # N is resolved per run by the window rule, not in the config, so that
+        # replace(cfg, T=...) does not carry one length's window to another
+        cfg = ExperimentConfig(model=StationaryMA(), T=128, runs=50, B=19)
+        assert cfg.N is None
+        report = run_experiment(cfg)
+        assert (report.N, report.M) == (16, 8)
+        assert report.to_dict()["N"] == 16
+        assert report.format_table().splitlines()[2].split()[:3] == ["128", "16", "8"]
+
     def test_every_alpha_has_an_order_statistic(self):
         # floor(0.95 * 10) = 9 is admissible, floor(0.05 * 10) = 0 is not
         ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=10, alphas=(0.05,))
@@ -64,31 +84,6 @@ def small_report():
         model=StationaryAR(coeffs=(0.5,)), T=64, runs=50, N=8, B=100, alphas=(0.05, 0.10), seed=3
     )
     return cfg, run_experiment(cfg)
-
-
-class TestResolveJobs:
-    def test_default_and_explicit(self, monkeypatch):
-        monkeypatch.delenv("LSTS_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert resolve_jobs() == 1
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs(0) == 1
-        monkeypatch.setenv("LSTS_THREADS", " 2 ")
-        assert resolve_jobs() == 2
-
-    @pytest.mark.parametrize("value", ["two", "1.5", "4x"])
-    def test_non_integer_env_names_variable(self, monkeypatch, value):
-        monkeypatch.setenv("LSTS_THREADS", value)
-        with pytest.raises(ValueError, match="LSTS_THREADS"):
-            resolve_jobs()
-
-    def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setenv("LSTS_THREADS", "64")
-        assert resolve_jobs() == 3
-        assert resolve_jobs(64) == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
-        assert resolve_jobs() == 1
 
 
 class TestRunExperiment:
@@ -123,7 +118,7 @@ class TestRunExperiment:
 
     def test_json_roundtrip(self, small_report):
         cfg, report = small_report
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["runs"] == cfg.runs
         assert payload["model"].startswith("ar(")
         assert payload["rejection_rates"]["0.05"] == report.rejection_rates[0.05]
@@ -137,15 +132,49 @@ class TestRunExperiment:
 
     def test_failed_run_reports_seed(self):
         cfg = ExperimentConfig(model=StationaryMA(), T=64, runs=50, N=7, seed=0)  # odd N
-        with pytest.raises(RuntimeError, match=r"run 0 \(seed \d+\)"):
-            run_experiment(cfg)
+        for n_jobs in (1, 2):  # a worker's failure reaches the caller with the same message
+            with pytest.raises(RuntimeError, match=r"run 0 \(seed \d+\)"):
+                run_experiment(cfg, n_jobs=n_jobs)
 
-    def test_env_thread_cap(self, monkeypatch, small_report):
+    def test_workers_capped_at_cpu_count(self, monkeypatch, small_report):
+        # one CPU: n_jobs=64 must run every run in this process, so the counting
+        # binding sees them all and no worker process starts
         cfg, report = small_report
-        monkeypatch.setenv("LSTS_THREADS", "2")
-        capped = run_experiment(cfg)
-        assert capped.rejection_rates == report.rejection_rates
+        calls, bootstrap_draws = [], harness.bootstrap_draws
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return bootstrap_draws(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "bootstrap_draws", counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        capped = run_experiment(cfg, n_jobs=64)
+        assert calls == [run_seed(cfg.seed, i) for i in range(cfg.runs)]
         assert np.array_equal(capped.statistics, report.statistics)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(model=StationaryAR(coeffs=(0.5,)), T=64, runs=50, N=8, B=39, seed=5),
+            ExperimentConfig(model=ScaledNoise(), T=32, runs=50, B=39, estimator="pre", seed=5),
+        ],
+        ids=["local", "pre"],
+    )
+    def test_runs_match_run_test(self, cfg):
+        # each run is run_test on the run's own simulated series and seed
+        report = run_experiment(cfg)
+        counts = {a: 0 for a in cfg.alphas}
+        for i in range(cfg.runs):
+            seed_i = run_seed(cfg.seed, i)
+            x = simulate(cfg.model, cfg.T, seed_i)
+            draws = harness._single_run(cfg, i)
+            assert isinstance(draws, sieve.TestDraws)
+            for a in cfg.alphas:
+                result = run_test(x, N=cfg.N, B=cfg.B, alpha=a, seed=seed_i, estimator=cfg.estimator)
+                assert report.statistics[i] == draws.statistic == result.statistic
+                assert sieve.decide(draws.statistic, draws.replicates, a)[2] == result.reject
+                counts[a] += result.reject
+        assert report.rejection_counts == counts
 
     def test_tvar_alternative_detected(self):
         # time-varying AR coefficient at T=128: published rate 0.396, and a

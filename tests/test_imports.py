@@ -77,3 +77,13 @@ def test_every_public_name_has_a_reader():
         if name not in called and not re.search(rf"\b{name}\b", readme)
     ]
     assert sorted(unread) == sorted(PUBLIC_WITHOUT_CALLER)
+
+
+def test_package_reads_no_environment_variable():
+    # configuration arrives through arguments; a hidden variable is a second source
+    readers = [
+        p.name
+        for p in PACKAGE.glob("*.py")
+        if {"environ", "getenv"} & referenced_names(p.read_text(encoding="utf-8"))
+    ]
+    assert readers == []

@@ -246,11 +246,7 @@ def true_distance(model: ModelSpec, v: float, omega: float) -> float:
     """
     if not 0.0 <= v <= 1.0 or not 0.0 <= omega <= 1.0:
         raise ValueError("v and omega must lie in [0, 1]")
-    lam_hi = np.pi * omega
-    if lam_hi <= 0.0 or v == 0.0:
-        return 0.0
-
-    lam_nodes, lam_w = _panel_quadrature(0.0, lam_hi, max_len=model.lam_panel)
+    lam_nodes, lam_w = _panel_quadrature(0.0, np.pi * omega, max_len=model.lam_panel)
 
     def u_integral(u_nodes, u_w):
         f = true_spectral_density(model, u_nodes[:, None], lam_nodes[None, :])

@@ -102,13 +102,10 @@ def _levinson_all(gamma: np.ndarray, p_max: int) -> list[np.ndarray]:
             raise DegenerateSeriesError(
                 f"prediction variance vanished at order {m}; autocovariance not positive definite"
             )
-        if m == 1:
-            kappa = gamma[1] / pred_var
-        else:
-            kappa = (gamma[m] - a @ gamma[m - 1 : 0 : -1]) / pred_var
+        kappa = (gamma[m] - a @ gamma[m - 1 : 0 : -1]) / pred_var
         a = np.concatenate([a - kappa * a[::-1], [kappa]])
         pred_var *= 1.0 - kappa * kappa
-        fits.append(a.copy())
+        fits.append(a)
     return fits
 
 
@@ -140,7 +137,16 @@ def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
         raise ValueError(f"need 1 <= p_min <= p_max, got ({p_min}, {p_max})")
     if p_max >= T / 4:
         raise ValueError(f"p_max={p_max} too large for series length {T}")
-    gamma = autocovariance(x, p_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = autocovariance(x, p_max)
+    finite = np.all(np.isfinite(gamma))
+    if not finite or (gamma[0] == 0.0 and np.ptp(x) > 0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = np.abs(x - x.mean()).max()
+        raise ValueError(
+            f"the series' autocovariance {'underflows' if finite else 'overflows'} float64 "
+            f"(max |x - mean| = {spread:.3g}); rescale the series"
+        )
     if gamma[0] == 0.0:
         raise DegenerateSeriesError("constant series: autocovariance at lag 0 is zero")
     all_fits = _levinson_all(gamma, p_max)
@@ -201,8 +207,6 @@ def bootstrap_replicate(x: np.ndarray, fit: ArFit, seed: int) -> np.ndarray:
     T = x.shape[0]
     p = fit.order
     noise = normal_generator(seed).standard_normal(T - p) * np.sqrt(fit.sigma2)
-    if p == 0:
-        return noise
     a_poly = _ar_poly(fit)
     zi = lfiltic([1.0], a_poly, x[p - 1 :: -1])
     tail, _ = lfilter([1.0], a_poly, noise, zi=zi)
@@ -223,18 +227,16 @@ def _replicate_statistics(
     p = fit.order
     keys = [(seed ^ i) & MASK64 for i in range(1, B + 1)]
     scale = np.sqrt(fit.sigma2)
-    if p > 0:
-        a_poly = _ar_poly(fit)
-        zi = lfiltic([1.0], a_poly, x[p - 1 :: -1])
+    a_poly = _ar_poly(fit)
+    zi = lfiltic([1.0], a_poly, x[p - 1 :: -1])
     stats = np.empty(B)
     step = _block_rows(8 * T, _BLOCK_BYTES)
     for lo in range(0, B, step):
         series = normal_rows(keys[lo : lo + step], T - p)
         series *= scale
         n = series.shape[0]
-        if p > 0:
-            tails, _ = lfilter([1.0], a_poly, series, axis=-1, zi=np.tile(zi, (n, 1)))
-            series = np.concatenate([np.tile(x[:p], (n, 1)), tails], axis=1)
+        tails, _ = lfilter([1.0], a_poly, series, axis=-1, zi=np.tile(zi, (n, 1)))
+        series = np.concatenate([np.tile(x[:p], (n, 1)), tails], axis=1)
         stats[lo : lo + n] = _statistics(series, estimator, grid)
     return stats
 

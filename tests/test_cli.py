@@ -107,6 +107,17 @@ class TestTest:
         assert code == 3
         assert "--N" in err and "even" in err
 
+    @pytest.mark.parametrize("scale, flow", [(1e160, "overflows"), (1e-170, "underflows")])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_out_of_range_scale_asks_to_rescale(self, tmp_path, capsys, scale, flow, estimator):
+        path = tmp_path / "scaled.csv"
+        x = simulate(StationaryAR(coeffs=(0.5,)), 128, seed=11) * scale
+        path.write_text("".join(f"{v:.17g}\n" for v in x))
+        code, _, err = run_cli(capsys, "test", str(path), "--estimator", estimator)
+        assert code == 3
+        assert err.startswith(f"lsts: error: the series' autocovariance {flow} float64 (max |x - mean| = ")
+        assert err.endswith("); rescale the series\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "test", "/nonexistent/data.csv")
         assert code == 2

@@ -157,10 +157,9 @@ class TestTrueDistance:
 
     def test_boundaries_zero_all_models(self):
         for model in ALL_MODELS:
-            for w in (0.0, 0.37, 1.0):
-                assert abs(true_distance(model, 1.0, w)) <= 1e-8
-                assert abs(true_distance(model, 0.0, w)) <= 1e-8
-            assert abs(true_distance(model, 0.6, 0.0)) <= 1e-8
+            for v, w in [(1.0, 0.0), (1.0, 0.37), (1.0, 1.0), (0.0, 0.0), (0.0, 0.37), (0.0, 1.0), (0.6, 0.0)]:
+                d = true_distance(model, v, w)
+                assert d == 0.0 and np.copysign(1.0, d) == 1.0, (model, v, w, d)
 
     def test_scaled_noise_hand_value(self):
         # hand integration of (1+u)^2: the bracket equals -0.1875, and the

@@ -72,6 +72,12 @@ class TestYuleWalker:
             direct = toeplitz_yule_walker(gamma, p)
             assert np.allclose(fit.coeffs, direct, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_first_order_is_lag_one_autocorrelation(self, scale):
+        gamma = autocovariance(simulate(StationaryAR(coeffs=(0.5,)), 128, seed=11) * scale, 3)
+        first = sieve._levinson_all(gamma, 1)[0]
+        assert first.tolist() == [gamma[1] / gamma[0]]
+
     def test_fits_are_causal(self):
         for seed in range(25):
             model = StationaryAR(coeffs=(0.5,)) if seed % 2 else StationaryMA(coeffs=(0.8,))
@@ -122,6 +128,17 @@ class TestAicSelect:
     def test_constant_series(self):
         with pytest.raises(DegenerateSeriesError):
             aic_select(np.full(128, 1.0), 1, 4)
+
+    @pytest.mark.parametrize("scale, flow", [(1e160, "overflows"), (1e-170, "underflows")])
+    @pytest.mark.parametrize("estimator, T, N", [("local", 128, 16), ("pre", 64, None)])
+    def test_out_of_range_scale_names_the_cause(self, scale, flow, estimator, T, N):
+        x = simulate(StationaryAR(coeffs=(0.5,)), 128, seed=11)[:T] * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"autocovariance {flow} float64 .*rescale the series") as info:
+                run_test(x, N=N, B=100, seed=0, estimator=estimator)
+        assert not isinstance(info.value, DegenerateSeriesError)
+        assert f"max |x - mean| = {np.abs(x - x.mean()).max():.3g}" in str(info.value)
 
     @pytest.mark.parametrize("T", [64, 128, 512, 4096])
     @pytest.mark.parametrize(
@@ -190,6 +207,12 @@ class TestBootstrapReplicate:
         x = np.array([2.0, 9.0, 9.0, 9.0, 9.0])
         out = bootstrap_replicate(x, fit, seed=5)
         assert np.allclose(out, [2.0, 1.0, 0.5, 0.25, 0.125], atol=1e-15)
+
+    def test_order_zero_is_scaled_noise(self):
+        fit = ArFit(order=0, coeffs=np.zeros(0), sigma2=2.0)
+        x = simulate(StationaryAR(coeffs=(0.5,)), 64, seed=6)
+        out = bootstrap_replicate(x, fit, seed=9)
+        assert np.array_equal(out, normal_generator(9).standard_normal(64) * np.sqrt(2.0))
 
     def test_deterministic(self):
         x = simulate(StationaryAR(coeffs=(0.5,)), 64, seed=6)

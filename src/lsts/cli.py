@@ -232,8 +232,6 @@ def _prepare_test_series(args) -> np.ndarray:
 
 def cmd_test(args) -> int:
     x = _prepare_test_series(args)
-    if args.estimator == "local" and args.N is not None and args.N % 2 != 0:
-        raise ValueError("--N must be even")
     start = time.perf_counter()
     result = run_test(
         x,
@@ -327,17 +325,9 @@ def cmd_bench(args) -> int:
         }
         print(json.dumps(_envelope("bench", cfg.seed, config, results, d["wall_time"]), indent=2))
     else:
-        print(f"cell {args.cell}: {cfg.model.label()} T={cfg.T} "
-              f"N={'-' if cfg.N is None else cfg.N} estimator={cfg.estimator}")
-        print(f"runs={cfg.runs} B={cfg.B} seed={cfg.seed}")
-        print(f"{'alpha':>6} {'reference':>10} {'estimate':>9} {'se':>7} {'ci95':>18}")
-        for a in cfg.alphas:
-            r = report.rejection_rates[a]
-            s = report.standard_errors[a]
-            print(
-                f"{a:>6.2f} {reference[a]:>10.3f} {r:>9.3f} {s:>7.3f} "
-                f"[{max(0.0, r - 2 * s):>7.3f}, {min(1.0, r + 2 * s):>7.3f}]"
-            )
+        print(f"cell {args.cell}")
+        print(report.format_table())
+        print(f"{'(reference)':>16} " + " ".join(f"{reference[a]:>8.3f}" for a in cfg.alphas))
     return 0
 
 
@@ -350,17 +340,18 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lsts", description="Stationarity testing for locally stationary time series")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_test = sub.add_parser("test", help="bootstrap stationarity test on a CSV series")
-    p_test.add_argument("input", help="CSV path, or - for stdin")
-    p_test.add_argument("--column", default=None, help="column index or header name (default: first)")
-    p_test.add_argument("--N", type=int, default=None, help="even window length (default: automatic)")
+    series = argparse.ArgumentParser(add_help=False)  # the flags _prepare_test_series reads
+    series.add_argument("input", help="CSV path, or - for stdin")
+    series.add_argument("--column", default=None, help="column index or header name (default: first)")
+    series.add_argument("--N", type=int, default=None, help="even window length (default: automatic)")
+    series.add_argument("--diff", action="store_true", help="first-difference the series first")
+    p_test = sub.add_parser("test", parents=[series], help="bootstrap stationarity test on a CSV series")
     p_test.add_argument("--B", type=int, default=200, help="bootstrap replicates")
     p_test.add_argument("--alpha", type=float, default=0.05, help="nominal level")
     p_test.add_argument("--estimator", choices=ESTIMATORS, default="local")
     p_test.add_argument("--p-min", dest="p_min", type=int, default=None, help="smallest AR order")
     p_test.add_argument("--p-max", dest="p_max", type=int, default=None, help="largest AR order")
     p_test.add_argument("--seed", type=int, default=0)
-    p_test.add_argument("--diff", action="store_true", help="first-difference the series before testing")
     p_test.add_argument("--format", choices=["text", "json"], default="text")
     p_test.set_defaults(func=cmd_test)
 
@@ -384,11 +375,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--format", choices=["text", "json"], default="text")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_surf = sub.add_parser("surface", help="export the distance-process matrix as CSV")
-    p_surf.add_argument("input", help="CSV path, or - for stdin")
-    p_surf.add_argument("--column", default=None, help="column index or header name (default: first)")
-    p_surf.add_argument("--N", type=int, default=None, help="even window length (default: automatic)")
-    p_surf.add_argument("--diff", action="store_true", help="first-difference the series first")
+    p_surf = sub.add_parser("surface", parents=[series], help="export the distance-process matrix as CSV")
     p_surf.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
     p_surf.set_defaults(func=cmd_surface)
 

@@ -115,6 +115,20 @@ def default_order_range(T: int) -> tuple[int, int]:
     return 1, max(1, p_max)
 
 
+def _check_range(x: np.ndarray) -> None:
+    """Reject a non-constant series whose autocovariance at lag 0 overflows float64 or
+    underflows to zero; with gamma(0) finite, every lag's |gamma(h)| <= gamma(0) is too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma0 = autocovariance(x, 0)[0]
+        if 0.0 < gamma0 < np.inf or np.ptp(x) == 0:
+            return
+        spread = np.abs(x - x.mean()).max()
+    raise ValueError(
+        f"the series' autocovariance {'underflows' if np.isfinite(gamma0) else 'overflows'} float64 "
+        f"(max |x - mean| = {spread:.3g}); rescale the series"
+    )
+
+
 def _block_rows(row_bytes: int, budget: int) -> int:
     """Rows per block such that one (rows, ...) array of row_bytes per row fits budget."""
     return max(1, budget // row_bytes)
@@ -137,19 +151,10 @@ def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
         raise ValueError(f"need 1 <= p_min <= p_max, got ({p_min}, {p_max})")
     if p_max >= T / 4:
         raise ValueError(f"p_max={p_max} too large for series length {T}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = autocovariance(x, p_max)
-    finite = np.all(np.isfinite(gamma))
-    if not finite or (gamma[0] == 0.0 and np.ptp(x) > 0):
-        with np.errstate(over="ignore", invalid="ignore"):
-            spread = np.abs(x - x.mean()).max()
-        raise ValueError(
-            f"the series' autocovariance {'underflows' if finite else 'overflows'} float64 "
-            f"(max |x - mean| = {spread:.3g}); rescale the series"
-        )
-    if gamma[0] == 0.0:
+    _check_range(x)
+    if np.ptp(x) == 0:  # by the spread, not gamma(0): a constant 0.1 leaves gamma(0) ~ 1e-34
         raise DegenerateSeriesError("constant series: autocovariance at lag 0 is zero")
-    all_fits = _levinson_all(gamma, p_max)
+    all_fits = _levinson_all(autocovariance(x, p_max), p_max)
     pgram = stationary_periodogram_all(x)
 
     # One block of candidate orders at a time.  Row r holds the one-step
@@ -278,6 +283,7 @@ def _observed(x: np.ndarray, N: int | None, estimator: str) -> tuple[np.ndarray,
     T = grid.T if grid is not None else x.shape[0]
     if T < 8:
         raise ValueError(f"series too short: T={T}")
+    _check_range(x[:T])
     return x[:T], grid
 
 

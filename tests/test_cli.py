@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lsts import StationaryAR, run_test, simulate
+from lsts import StationaryAR, run_experiment, run_test, simulate
 from lsts.cli import bench_cells, build_parser, main, read_series
 from lsts.sieve import ESTIMATORS
 
@@ -102,10 +103,24 @@ class TestTest:
         estimator = next(a for a in sub.choices["test"]._actions if a.dest == "estimator")
         assert tuple(estimator.choices) == ESTIMATORS
 
-    def test_odd_window(self, ar_file, capsys):
-        code, _, err = run_cli(capsys, "test", str(ar_file), "--N", "13")
-        assert code == 3
-        assert "--N" in err and "even" in err
+    @pytest.mark.parametrize(
+        "scale, length, window, message",
+        [
+            (1.0, 512, "13", "N must be an even integer >= 4, got 13"),
+            (1.0, 20, "16", "series too short: 20 observations, need 32"),
+            (1e160, 512, "16", "the series' autocovariance overflows float64 (max |x - mean| = {spread}); rescale the series"),
+            (1e-170, 512, "16", "the series' autocovariance underflows float64 (max |x - mean| = {spread}); rescale the series"),
+        ],
+        ids=["odd-window", "short", "overflow", "underflow"],
+    )
+    def test_fails_like_surface(self, tmp_path, capsys, scale, length, window, message):
+        path = tmp_path / "x.csv"
+        x = simulate(StationaryAR(coeffs=(0.5,)), 512, seed=11)[:length] * scale
+        path.write_text("".join(f"{v:.17g}\n" for v in x))
+        message = message.format(spread=f"{np.abs(x - x.mean()).max():.3g}")
+        test = run_cli(capsys, "test", str(path), "--N", window)
+        surface = run_cli(capsys, "surface", str(path), "--N", window)
+        assert test == surface == (3, "", f"lsts: error: {message}\n")
 
     @pytest.mark.parametrize("scale, flow", [(1e160, "overflows"), (1e-170, "underflows")])
     @pytest.mark.parametrize("estimator", ESTIMATORS)
@@ -342,6 +357,13 @@ class TestBench:
         assert payload["config"]["estimator"] == "pre"
         assert payload["results"]["reference"]["0.05"] == 0.188
 
+    def test_text_report_is_the_report_table(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--cell", "T64-N8-ar0", "--runs", "50", "--B", "100")
+        cfg = replace(bench_cells()["T64-N8-ar0"][0], runs=50, B=100, seed=0)
+        reference = f"{'(reference)':>16} {0.035:>8.3f} {0.086:>8.3f}"
+        assert (code, err) == (0, "")
+        assert out == f"cell T64-N8-ar0\n{run_experiment(cfg).format_table()}\n{reference}\n"
+
     def test_text_report_shows_reference(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--cell", "T64-N8-ar0", "--runs", "50", "--B", "100")
         assert code == 0
@@ -408,3 +430,14 @@ class TestHelp:
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 3
+
+    @pytest.mark.parametrize("command", ["test", "simulate", "bench", "surface"])
+    def test_subcommand_help_exits_zero(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: lsts {command}")
+
+    @pytest.mark.parametrize("command", ["test", "surface"])
+    def test_series_flags_declared_once(self, command):
+        sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        flags = [f for a in sub.choices[command]._actions for f in a.option_strings]
+        assert [flags.count(f) for f in ("--column", "--N", "--diff")] == [1, 1, 1]

@@ -126,8 +126,12 @@ class TestAicSelect:
             aic_select(x, 1, 16)  # p_max must stay below T/4
 
     def test_constant_series(self):
-        with pytest.raises(DegenerateSeriesError):
-            aic_select(np.full(128, 1.0), 1, 4)
+        # 0.1 and -3.7 do not average back to themselves: gamma(0) ~ 1e-34, not 0
+        for value in (1.0, 0.1, -3.7):
+            with pytest.raises(DegenerateSeriesError, match="constant series"):
+                aic_select(np.full(128, value), 1, 4)
+            with pytest.raises(DegenerateSeriesError, match="constant series"):
+                run_test(np.full(128, value), B=19)
 
     @pytest.mark.parametrize("scale, flow", [(1e160, "overflows"), (1e-170, "underflows")])
     @pytest.mark.parametrize("estimator, T, N", [("local", 128, 16), ("pre", 64, None)])

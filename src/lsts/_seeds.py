@@ -11,7 +11,10 @@ seed s draws its standard normal innovations from the Philox stream with key
 normal_generator((s ^ i) & MASK64).standard_normal(n).  The values do not
 depend on how the stream is produced: normal_rows reuses one bit generator
 and resets its key and counter per row, and returns the same numbers as a
-fresh generator per replicate would.
+fresh generator per replicate would.  Because replicate i depends on its own
+key alone, the first n replicates of a test are the same for every B >= n:
+this is what makes a Monte Carlo run's curtailed draw (the first n of B
+replicates, stopped once its decisions are fixed) exact.
 """
 
 import numpy as np

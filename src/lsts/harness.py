@@ -1,9 +1,11 @@
 """Monte Carlo experiment runner for rejection-rate estimation.
 
-Each run simulates a fresh series, applies the full bootstrap test and
-tallies rejections per nominal level.  Run i derives its seed through a
-splittable hash, so adding runs or distributing them over processes never
-changes any individual result.
+Each run simulates a fresh series, applies the bootstrap test and tallies
+rejections per nominal level.  A run's bootstrap stops as soon as its
+decision at every level is fixed (curtailed Monte Carlo testing, Besag &
+Clifford 1991), which gives the decisions of the full B replicates.  Run i
+derives its seed through a splittable hash, so adding runs or distributing
+them over processes never changes any individual result.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ def _single_run(cfg: ExperimentConfig, index: int) -> TestDraws:
             p_max=cfg.p_max,
             seed=seed_i,
             estimator=cfg.estimator,
+            alphas=cfg.alphas,
         )
     except Exception as exc:
         raise RuntimeError(f"run {index} (seed {seed_i}) failed: {exc}") from exc
@@ -125,7 +128,7 @@ def run_experiment(cfg: ExperimentConfig, n_jobs: int = 1) -> ExperimentReport:
             chunk = max(1, cfg.runs // (4 * jobs))
             draws = list(pool.map(_single_run, [cfg] * cfg.runs, range(cfg.runs), chunksize=chunk))
 
-    counts = {a: sum(decide(d.statistic, d.replicates, a)[2] for d in draws) for a in cfg.alphas}
+    counts = {a: sum(decide(d.statistic, d.replicates, a, d.B)[2] for d in draws) for a in cfg.alphas}
     rates = {a: counts[a] / cfg.runs for a in cfg.alphas}
     ses = {a: float(np.sqrt(rates[a] * (1.0 - rates[a]) / cfg.runs)) for a in cfg.alphas}
     return ExperimentReport(

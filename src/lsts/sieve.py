@@ -29,6 +29,7 @@ TWO_PI = 2.0 * np.pi
 ESTIMATORS = ("local", "pre")
 
 _BLOCK_BYTES = 1 << 18  # one (rows, T) array of a replicate or AIC block
+_CURTAIL_ROWS = 32  # replicate rows between two stop checks of a curtailed draw
 _PRE_CHUNK_BYTES = 1 << 20  # one (chunk, T, T) lag-product array; its FFT and sums stay in L2
 
 
@@ -58,7 +59,10 @@ class TestDraws:
     """Observed statistic and bootstrap replicates, before any alpha is chosen.
 
     T is the length the statistic saw; N and M are the window and block count
-    of the local grid, None for pre.
+    of the local grid, None for pre.  B is the full replicate count; a draw
+    curtailed at its levels (see `bootstrap_draws`) holds only the first
+    len(replicates) <= B of them, which fix its decisions but not its
+    critical value or p-value.
     """
 
     statistic: float
@@ -218,31 +222,65 @@ def bootstrap_replicate(x: np.ndarray, fit: ArFit, seed: int) -> np.ndarray:
     return np.concatenate([x[:p], tail])
 
 
-def _replicate_statistics(
-    x: np.ndarray, fit: ArFit, B: int, seed: int, estimator: str, grid: SpectralGrid | None
-) -> np.ndarray:
-    """Sup-statistics of B bootstrap pseudo-series.
+def _replicate_series(x: np.ndarray, fit: ArFit, B: int, seed: int, step: int):
+    """Blocks (lo, rows) of bootstrap pseudo-series lo+1..lo+len(rows), in order, up to B.
 
     Replicate i draws its innovations from the stream keyed by seed XOR i, so
-    the result is identical under any batching or parallel schedule.  The
-    replicates run noise -> AR filter -> statistic in blocks of rows sized by
-    _BLOCK_BYTES, so no (B, T) array is ever built.
+    its series does not depend on the block size, on the schedule or on how
+    many blocks a consumer takes.  The AR filter's initial state is built once
+    per test, and no (B, T) array is ever built.
     """
     T = x.shape[0]
     p = fit.order
-    keys = [(seed ^ i) & MASK64 for i in range(1, B + 1)]
     scale = np.sqrt(fit.sigma2)
     a_poly = _ar_poly(fit)
     zi = lfiltic([1.0], a_poly, x[p - 1 :: -1])
-    stats = np.empty(B)
-    step = _block_rows(8 * T, _BLOCK_BYTES)
     for lo in range(0, B, step):
-        series = normal_rows(keys[lo : lo + step], T - p)
+        series = normal_rows([(seed ^ i) & MASK64 for i in range(lo + 1, min(lo + step, B) + 1)], T - p)
         series *= scale
         n = series.shape[0]
         tails, _ = lfilter([1.0], a_poly, series, axis=-1, zi=np.tile(zi, (n, 1)))
-        series = np.concatenate([np.tile(x[:p], (n, 1)), tails], axis=1)
-        stats[lo : lo + n] = _statistics(series, estimator, grid)
+        series = np.concatenate([np.tile(x[:p], (n, 1)), tails], axis=1)  # frees the noise block
+        yield lo, series
+
+
+def _open(below: int, drawn: int, B: int, k: int) -> bool:
+    """Whether the order-statistic decision (reject iff at least k of all B replicates lie
+    below the statistic) is still open when `below` of the first `drawn` lie below it."""
+    return below < k <= below + (B - drawn)
+
+
+def _replicate_statistics(
+    x: np.ndarray,
+    fit: ArFit,
+    B: int,
+    seed: int,
+    estimator: str,
+    grid: SpectralGrid | None,
+    statistic: float = 0.0,
+    ks: tuple[int, ...] = (),
+) -> np.ndarray:
+    """Sup-statistics of the first n <= B bootstrap pseudo-series, in blocks of rows sized
+    by _BLOCK_BYTES.
+
+    n = B unless ks names order-statistic indices: then the blocks shrink to
+    _CURTAIL_ROWS rows, and the draw stops after the first block at which the
+    full-B decision against `statistic` is fixed at every k (Besag & Clifford's
+    curtailed Monte Carlo test).  Replicate i depends on seed XOR i alone, so
+    the n drawn are the first n of the full draw, bit for bit.
+    """
+    step = _block_rows(8 * x.shape[0], _BLOCK_BYTES)
+    if ks:
+        step = min(step, _CURTAIL_ROWS)
+    stats = np.empty(B)
+    below = 0
+    for lo, series in _replicate_series(x, fit, B, seed, step):
+        hi = lo + series.shape[0]
+        stats[lo:hi] = _statistics(series, estimator, grid)
+        if ks:
+            below += int(np.count_nonzero(stats[lo:hi] < statistic))
+            if not any(_open(below, hi, B, k) for k in ks):
+                return stats[:hi]
     return stats
 
 
@@ -295,7 +333,13 @@ def distance_process(x: np.ndarray, N: int | None = None, estimator: str = "loca
     """
     x, grid = _observed(x, N, estimator)
     T = x.shape[0]
-    values = distance_values(*_estimates(x[None], estimator, grid))[0]
+    # a constant series passes `_check_range`, but its level can still overflow the estimates
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = distance_values(*_estimates(x[None], estimator, grid))[0]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            f"the series' spectral estimates overflow float64 (max |x| = {np.abs(x).max():.3g}); rescale the series"
+        )
     if grid is not None:
         times, freqs = grid.midpoints, grid.frequencies
     else:
@@ -311,24 +355,30 @@ def bootstrap_draws(
     p_max: int | None = None,
     seed: int = 0,
     estimator: str = "local",
+    alphas: tuple[float, ...] = (),
 ) -> TestDraws:
     """Observed sup-statistic plus B bootstrap replicate statistics.
 
     The series is checked and, for the local estimator, truncated as in
     `distance_process`.  The AR order is AIC-selected in [p_min, p_max].
+    With levels in `alphas`, the draw is curtailed: it stops once `decide`'s
+    full-B decision at every level is fixed, and `replicates` holds only the
+    replicates drawn.  With none (the default), all B are drawn.
     """
     if B < 1:
         raise ValueError(f"B must be at least 1, got {B}")
+    ks = tuple(order_statistic_index(B, a) for a in alphas)
     x, grid = _observed(x, N, estimator)
 
     lo, hi = default_order_range(x.shape[0])
     p_lo = lo if p_min is None else p_min
     p_hi = hi if p_max is None else p_max
     fit = aic_select(x, p_lo, p_hi)
+    statistic = float(_statistics(x[None], estimator, grid)[0])
 
     return TestDraws(
-        statistic=float(_statistics(x[None], estimator, grid)[0]),
-        replicates=_replicate_statistics(x, fit, B, seed, estimator, grid),
+        statistic=statistic,
+        replicates=_replicate_statistics(x, fit, B, seed, estimator, grid, statistic, ks),
         T=x.shape[0],
         N=grid.N if grid is not None else None,
         M=grid.M if grid is not None else None,
@@ -351,18 +401,36 @@ def order_statistic_index(B: int, alpha: float) -> int:
     return k
 
 
-def decide(statistic: float, replicates: np.ndarray, alpha: float) -> tuple[float, float, bool]:
+def decide(
+    statistic: float, replicates: np.ndarray, alpha: float, B: int | None = None
+) -> tuple[float | None, float | None, bool]:
     """(critical value, p-value, decision) from replicate statistics.
 
-    The critical value is the floor((1-alpha)B)-th order statistic; the
-    p-value is (1 + #{replicates >= statistic}) / (B + 1); rejection follows
-    the order-statistic rule, not the p-value.
+    With k = floor((1-alpha)B), the test rejects iff at least k replicates
+    lie strictly below the statistic, i.e. iff the statistic exceeds the
+    critical value, the k-th order statistic.  The p-value is
+    (1 + #{replicates >= statistic}) / (B + 1); rejection follows the
+    order-statistic rule, not the p-value.  B defaults to len(replicates).
+
+    A curtailed draw passes its full B with its first len(replicates) < B
+    replicates.  The decision is then the full-B one, and the critical value
+    and p-value, which need all B, are None.  A prefix that leaves the
+    decision open raises ValueError.
     """
-    B = len(replicates)
+    replicates = np.asarray(replicates)
+    drawn = len(replicates)
+    B = drawn if B is None else B
     k = order_statistic_index(B, alpha)
-    critical = float(np.sort(replicates)[k - 1])
+    if drawn > B:
+        raise ValueError(f"{drawn} replicates exceed B={B}")
+    below = int(np.count_nonzero(replicates < statistic))
+    if _open(below, drawn, B, k):
+        raise ValueError(f"{drawn} of B={B} replicates leave the decision at alpha={alpha} open")
+    if drawn < B:
+        return None, None, below >= k
+    critical = float(np.partition(replicates, k - 1)[k - 1])
     p_value = float((1 + np.count_nonzero(replicates >= statistic)) / (B + 1))
-    return critical, p_value, bool(statistic > critical)
+    return critical, p_value, below >= k
 
 
 def run_test(

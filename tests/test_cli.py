@@ -234,6 +234,20 @@ class TestSurface:
         rows = [line.split(",")[1:] for line in out.strip().splitlines()[1:]]
         assert all(float(v) == 0.0 for row in rows for v in row)
 
+    @pytest.mark.parametrize(
+        "value, length, argv",
+        [(1e308, 64, ["--N", "8"]), (1e300, 112, ["--N", "14"]), (1e200, 112, ["--N", "14"])],
+        ids=["1e308-N8", "1e300-N14", "1e200-N14"],
+    )
+    def test_overflowing_constant_asks_to_rescale(self, tmp_path, capsys, value, length, argv):
+        # a constant passes the range check, but its surface would be nan; `surface`
+        # has no pre estimator, so the pre case (1e200) lives in test_sieve.py
+        path = tmp_path / "flat.csv"
+        path.write_text(f"{value}\n" * length)
+        code, out, err = run_cli(capsys, "surface", str(path), *argv)
+        assert (code, out) == (3, "")
+        assert err == f"lsts: error: the series' spectral estimates overflow float64 (max |x| = {value:.3g}); rescale the series\n"
+
     def test_matches_library_surface(self, ar_file, capsys):
         from lsts import distance_process
 

@@ -161,7 +161,8 @@ class TestRunExperiment:
         ids=["local", "pre"],
     )
     def test_runs_match_run_test(self, cfg):
-        # each run is run_test on the run's own simulated series and seed
+        # each run is run_test on the run's own simulated series and seed; a run's
+        # draw may stop early, so it holds a prefix of run_test's replicates
         report = run_experiment(cfg)
         counts = {a: 0 for a in cfg.alphas}
         for i in range(cfg.runs):
@@ -169,12 +170,58 @@ class TestRunExperiment:
             x = simulate(cfg.model, cfg.T, seed_i)
             draws = harness._single_run(cfg, i)
             assert isinstance(draws, sieve.TestDraws)
+            assert len(draws.replicates) <= draws.B
             for a in cfg.alphas:
                 result = run_test(x, N=cfg.N, B=cfg.B, alpha=a, seed=seed_i, estimator=cfg.estimator)
                 assert report.statistics[i] == draws.statistic == result.statistic
-                assert sieve.decide(draws.statistic, draws.replicates, a)[2] == result.reject
+                assert np.array_equal(draws.replicates, result.replicates[: len(draws.replicates)])
+                assert sieve.decide(draws.statistic, draws.replicates, a, draws.B)[2] == result.reject
                 counts[a] += result.reject
         assert report.rejection_counts == counts
+
+    @pytest.mark.parametrize(
+        "cfg, n_jobs",
+        [
+            (ExperimentConfig(model=StationaryAR(coeffs=(0.5,)), T=64, runs=50, N=8, B=99, seed=7), 1),
+            (ExperimentConfig(model=TvAR1Sqrt(), T=128, runs=50, N=16, B=99, alphas=(0.1,), seed=7), 2),
+            (ExperimentConfig(model=StationaryAR(coeffs=(0.5,)), T=32, runs=50, B=39, alphas=(0.1,),
+                              estimator="pre", seed=7), 2),
+            (ExperimentConfig(model=ScaledNoise(), T=64, runs=50, B=39, estimator="pre", seed=7), 1),
+        ],
+        ids=["null-local-two-levels-serial", "alt-local-one-level-two-jobs",
+             "null-pre-one-level-two-jobs", "alt-pre-two-levels-serial"],
+    )
+    def test_curtailed_report_equals_full_draws(self, cfg, n_jobs):
+        # the report is rebuilt from full run_test-style draws and the
+        # order-statistic rule; only wall_time may differ
+        report = run_experiment(cfg, n_jobs=n_jobs)
+        counts = {a: 0 for a in cfg.alphas}
+        statistics = []
+        for i in range(cfg.runs):
+            seed_i = run_seed(cfg.seed, i)
+            x = simulate(cfg.model, cfg.T, seed_i)
+            full = sieve.bootstrap_draws(x, N=cfg.N, B=cfg.B, seed=seed_i, estimator=cfg.estimator)
+            assert len(full.replicates) == cfg.B
+            assert len(harness._single_run(cfg, i).replicates) <= cfg.B
+            statistics.append(full.statistic)
+            for a in cfg.alphas:
+                counts[a] += sieve.decide(full.statistic, full.replicates, a)[2]
+        rates = {a: counts[a] / cfg.runs for a in cfg.alphas}
+        assert report.config is cfg
+        assert (report.N, report.M) == (full.N, full.M)
+        assert report.rejection_counts == counts
+        assert report.rejection_rates == rates
+        assert report.standard_errors == {
+            a: float(np.sqrt(rates[a] * (1.0 - rates[a]) / cfg.runs)) for a in cfg.alphas
+        }
+        assert report.statistics.tobytes() == np.array(statistics).tobytes()
+
+    def test_curtailment_saves_replicates(self):
+        # mc-local's cell: a null run stops once enough replicates lie above
+        cfg = ExperimentConfig(model=StationaryAR(coeffs=(0.5,)), T=128, runs=100, N=16, B=200, seed=0)
+        drawn = [len(harness._single_run(cfg, i).replicates) for i in range(cfg.runs)]
+        assert max(drawn) <= cfg.B
+        assert sum(drawn) < 0.6 * cfg.runs * cfg.B
 
     def test_tvar_alternative_detected(self):
         # time-varying AR coefficient at T=128: published rate 0.396, and a

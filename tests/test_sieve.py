@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lsts import (
@@ -353,6 +353,38 @@ class TestReplicatePrefixProperty:
         assert np.array_equal(short, long[:B1])
 
 
+class TestCurtailedDrawProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        T=st.integers(16, 96),
+        seed=st.integers(0, 2**64 - 1),
+        B=st.integers(10, 60),
+        alphas=st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.5]), min_size=1, max_size=3, unique=True),
+        rows=st.integers(1, 8),
+        estimator=st.sampled_from(ESTIMATORS),
+    )
+    def test_prefix_of_full_draw_fixes_every_decision(self, T, seed, B, alphas, rows, estimator):
+        # a curtailed draw is the first n of the full B replicates, and stops at
+        # the first block boundary where every level's full-B decision is fixed
+        x = np.random.default_rng(seed).standard_normal(T - T % 8)
+        assume(all(int(np.floor((1 - a) * B + 1e-9)) >= 1 for a in alphas))
+        full = sieve.bootstrap_draws(x, N=8, B=B, seed=seed, estimator=estimator)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "_CURTAIL_ROWS", rows)
+            cut = sieve.bootstrap_draws(x, N=8, B=B, seed=seed, estimator=estimator, alphas=tuple(alphas))
+        n = len(cut.replicates)
+        assert 1 <= n <= B and cut.B == B
+        assert n == B or n % rows == 0
+        assert cut.statistic == full.statistic
+        assert np.array_equal(cut.replicates, full.replicates[:n])
+        for a in alphas:
+            assert decide(cut.statistic, cut.replicates, a, B)[2] == decide(full.statistic, full.replicates, a)[2]
+        if n > rows:  # one block fewer left some level open
+            with pytest.raises(ValueError, match="open"):
+                for a in alphas:
+                    decide(full.statistic, full.replicates[: n - rows], a, B)
+
+
 class TestStatisticRowProperty:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -419,6 +451,43 @@ class TestDecision:
         for stat in (-1.0, 0.5, 2.0):
             _, p, _ = decide(stat, reps, 0.05)
             assert 0 < p <= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        B=st.integers(1, 60),
+        alpha=st.floats(0.001, 0.999),
+        values=st.sampled_from([[0.0, 1.0, 2.0], [0.5, 0.5, 3.0], list(np.linspace(-1, 1, 9))]),
+    )
+    def test_count_rule_and_curtailed_prefixes(self, data, B, alpha, values):
+        # replicates and statistic from a few values, so ties are common
+        assume(1 <= int(np.floor((1.0 - alpha) * B + 1e-9)) <= B)
+        reps = np.array(data.draw(st.lists(st.sampled_from(values), min_size=B, max_size=B)))
+        stat = data.draw(st.sampled_from(values))
+        k = order_statistic_index(B, alpha)
+        kth = np.sort(reps)[k - 1]
+        critical, p_value, reject = decide(stat, reps, alpha)
+        assert (critical, p_value) == (kth, (1 + np.sum(reps >= stat)) / (B + 1))
+        assert reject == (stat > kth)  # the count rule is the sort rule
+        for n in range(1, B + 1):
+            below = int(np.sum(reps[:n] < stat))
+            if below >= k or n - below > B - k:  # k lie below, or more than B - k at or above
+                expected = (critical, p_value, reject) if n == B else (None, None, reject)
+                assert decide(stat, reps[:n], alpha, B) == expected
+            else:
+                with pytest.raises(ValueError, match=f"{n} of B={B} replicates leave the decision .* open"):
+                    decide(stat, reps[:n], alpha, B)
+
+    def test_prefix_decision_pinned(self):
+        # at B=200 and 5 %, k=190: 11 replicates at or above the statistic fix
+        # acceptance, 10 do not; the critical value and p-value of a prefix are None
+        assert decide(1.0, np.full(11, 2.0), 0.05, 200) == (None, None, False)
+        with pytest.raises(ValueError, match="^10 of B=200 replicates leave the decision at alpha=0.05 open$"):
+            decide(1.0, np.full(10, 2.0), 0.05, 200)
+        # at B=20 and 5 %, k=19: 19 replicates below fix rejection
+        assert decide(1.0, np.zeros(19), 0.05, 20) == (None, None, True)
+        with pytest.raises(ValueError, match="^21 replicates exceed B=20$"):
+            decide(1.0, np.zeros(21), 0.05, 20)
 
 
 class TestRunTest:
@@ -622,6 +691,26 @@ class TestSurfaceIsStatistic:
             assert messages == [f"series length {T} not divisible by N={N}; truncating tail to T=128"]
         else:
             assert messages == []
+
+
+class TestSurfaceOverflow:
+    """A constant series passes the range check; a level that overflows the estimates raises
+    (`tests/test_cli.py::TestSurface::test_zero_variance_input` keeps 1.0's zero surface)."""
+
+    @pytest.mark.parametrize(
+        "value, T, N, estimator",
+        [(1e308, 64, 8, "local"), (1e300, 112, 14, "local"), (1e200, 64, None, "pre")],
+        ids=["1e308-N8", "1e300-N14", "1e200-pre"],
+    )
+    def test_overflowing_constant_raises(self, value, T, N, estimator):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                sieve.distance_process(np.full(T, value), N, estimator)
+        assert not isinstance(info.value, DegenerateSeriesError)
+        assert str(info.value) == (
+            f"the series' spectral estimates overflow float64 (max |x| = {value:.3g}); rescale the series"
+        )
 
 
 class TestDefaultWindow:

@@ -24,7 +24,6 @@ from .sieve import (
     DegenerateSeriesError,
     TestResult,
     aic_select,
-    bootstrap_replicate,
     distance_process,
     run_test,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TvAR1Sqrt",
     "TvMA1Lag",
     "aic_select",
-    "bootstrap_replicate",
     "default_window",
     "distance_process",
     "limit_covariance_h0",

@@ -9,12 +9,13 @@ Bootstrap replicate contract: replicate i (i = 1..B) of a test with base
 seed s draws its standard normal innovations from the Philox stream with key
 (s ^ i) & MASK64, starting at counter 0, i.e. exactly
 normal_generator((s ^ i) & MASK64).standard_normal(n).  The values do not
-depend on how the stream is produced: normal_rows reuses one bit generator
-and resets its key and counter per row, and returns the same numbers as a
-fresh generator per replicate would.  Because replicate i depends on its own
-key alone, the first n replicates of a test are the same for every B >= n:
-this is what makes a Monte Carlo run's curtailed draw (the first n of B
-replicates, stopped once its decisions are fixed) exact.
+depend on how the stream is produced: a test builds one generator with
+normal_generator(seed), and normal_rows resets its key and counter for each
+replicate, which yields the same numbers as a fresh generator per replicate.
+Because replicate i depends on its own key alone, the first n replicates of
+a test are the same for every B >= n: this is what makes a Monte Carlo run's
+curtailed draw (the first n of B replicates, stopped once its decisions are
+fixed) exact.
 """
 
 import numpy as np
@@ -27,16 +28,15 @@ def normal_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & MASK64))
 
 
-def normal_rows(keys, n: int) -> np.ndarray:
+def normal_rows(generator: np.random.Generator, keys, n: int) -> np.ndarray:
     """(len(keys), n) array whose row i is normal_generator(keys[i]).standard_normal(n).
 
     Philox is counter-based, so its key and counter are its whole state:
-    resetting them, with an empty output buffer, on one reused bit generator
-    restarts exactly the stream a freshly built generator would produce,
-    without the cost of building one per row.
+    resetting them, with an empty output buffer, on `generator`'s Philox bit
+    generator restarts exactly the stream a freshly built generator would
+    produce, whatever the generator drew before, without building one per row.
     """
-    bit_generator = np.random.Philox(key=0)
-    generator = np.random.Generator(bit_generator)
+    bit_generator = generator.bit_generator
     key = [0, 0]
     state = {
         "bit_generator": "Philox",

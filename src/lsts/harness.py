@@ -37,6 +37,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.alphas = tuple(float(a) for a in self.alphas)
+        if not float(self.runs).is_integer():
+            raise ValueError(f"runs must be an integer, got {self.runs}")
+        self.runs = int(self.runs)
         if self.runs < 50:
             raise ValueError(f"need at least 50 runs for a meaningful rate, got {self.runs}")
         if not self.alphas:
@@ -47,6 +50,7 @@ class ExperimentConfig:
             self.N = None
         for a in self.alphas:  # the (B, alpha) rule of run_test
             order_statistic_index(self.B, a)
+        self.B = int(self.B)
 
 
 @dataclass

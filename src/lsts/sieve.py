@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter, lfiltic
 
-from ._seeds import MASK64, normal_generator, normal_rows
+from ._seeds import normal_generator, normal_rows
 from .empirical import DistanceProcess, distance_values, sup_statistic
 from .spectral import (
     SpectralGrid,
@@ -205,38 +205,22 @@ def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
     )
 
 
-def _ar_poly(fit: ArFit) -> np.ndarray:
-    return np.r_[1.0, -np.asarray(fit.coeffs, dtype=float)]
-
-
-def bootstrap_replicate(x: np.ndarray, fit: ArFit, seed: int) -> np.ndarray:
-    """One pseudo-series: first p values copied, then the fitted recursion
-    driven by fresh N(0, sigma2) innovations."""
-    x = np.asarray(x, dtype=float)
-    T = x.shape[0]
-    p = fit.order
-    noise = normal_generator(seed).standard_normal(T - p) * np.sqrt(fit.sigma2)
-    a_poly = _ar_poly(fit)
-    zi = lfiltic([1.0], a_poly, x[p - 1 :: -1])
-    tail, _ = lfilter([1.0], a_poly, noise, zi=zi)
-    return np.concatenate([x[:p], tail])
-
-
 def _replicate_series(x: np.ndarray, fit: ArFit, B: int, seed: int, step: int):
     """Blocks (lo, rows) of bootstrap pseudo-series lo+1..lo+len(rows), in order, up to B.
 
     Replicate i draws its innovations from the stream keyed by seed XOR i, so
     its series does not depend on the block size, on the schedule or on how
-    many blocks a consumer takes.  The AR filter's initial state is built once
-    per test, and no (B, T) array is ever built.
+    many blocks a consumer takes.  The noise generator and the AR filter's
+    initial state are built once per test, and no (B, T) array is ever built.
     """
     T = x.shape[0]
     p = fit.order
     scale = np.sqrt(fit.sigma2)
-    a_poly = _ar_poly(fit)
+    a_poly = np.r_[1.0, -np.asarray(fit.coeffs, dtype=float)]
     zi = lfiltic([1.0], a_poly, x[p - 1 :: -1])
+    generator = normal_generator(seed)
     for lo in range(0, B, step):
-        series = normal_rows([(seed ^ i) & MASK64 for i in range(lo + 1, min(lo + step, B) + 1)], T - p)
+        series = normal_rows(generator, [seed ^ i for i in range(lo + 1, min(lo + step, B) + 1)], T - p)
         series *= scale
         n = series.shape[0]
         tails, _ = lfilter([1.0], a_poly, series, axis=-1, zi=np.tile(zi, (n, 1)))
@@ -365,8 +349,7 @@ def bootstrap_draws(
     full-B decision at every level is fixed, and `replicates` holds only the
     replicates drawn.  With none (the default), all B are drawn.
     """
-    if B < 1:
-        raise ValueError(f"B must be at least 1, got {B}")
+    B = _replicate_count(B)
     ks = tuple(order_statistic_index(B, a) for a in alphas)
     x, grid = _observed(x, N, estimator)
 
@@ -389,12 +372,20 @@ def bootstrap_draws(
     )
 
 
+def _replicate_count(B) -> int:
+    """B as an int; like T and N in `make_grid`, a fractional B raises rather than truncating."""
+    if not float(B).is_integer():
+        raise ValueError(f"B must be an integer, got {B}")
+    if B < 1:
+        raise ValueError(f"B must be at least 1, got {B}")
+    return int(B)
+
+
 def order_statistic_index(B: int, alpha: float) -> int:
     """1-based index floor((1-alpha) B) of the bootstrap order statistic; the one (B, alpha) check."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if B < 1:
-        raise ValueError(f"B must be at least 1, got {B}")
+    B = _replicate_count(B)
     k = int(np.floor((1.0 - alpha) * B + 1e-9))
     if not 1 <= k <= B:
         raise ValueError(f"alpha={alpha} with B={B} leaves no admissible order statistic")

@@ -34,10 +34,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(model=StationaryMA(), T=64, runs=50, estimator="smoothed")
 
-    @pytest.mark.parametrize("B", [0, -3])
+    @pytest.mark.parametrize("B", [0, -3, 20.5])
     def test_replicates_positive(self, B):
-        with pytest.raises(ValueError, match=f"B must be at least 1, got {B}"):
+        rule = "be an integer" if B % 1 else "be at least 1"
+        with pytest.raises(ValueError, match=f"B must {rule}, got {B}"):
             ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=B)
+
+    def test_runs_integer(self):
+        with pytest.raises(ValueError, match=r"^runs must be an integer, got 60\.5$"):
+            ExperimentConfig(model=StationaryMA(), T=64, runs=60.5)
+        # make_grid's rule for T and N: a whole float is that integer
+        cfg = ExperimentConfig(model=StationaryMA(), T=64, runs=50.0, B=19.0)
+        assert (cfg.runs, cfg.B) == (50, 19) and type(cfg.runs) is type(cfg.B) is int
+        whole = ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=19)
+        assert run_experiment(cfg).to_dict() | {"wall_time": 0} == run_experiment(whole).to_dict() | {"wall_time": 0}
 
     def test_pre_reports_no_window(self):
         # the pre estimator ignores N, so its report must not show one

@@ -22,7 +22,6 @@ README = PACKAGE.parents[1] / "README.md"
 
 # public names with neither a package caller nor a README mention, and why they stay
 PUBLIC_WITHOUT_CALLER = {
-    "bootstrap_replicate": "last user of sieve.normal_generator, a benchmark span (ROADMAP item 3)",
     "limit_covariance_h0": "test oracle; moves to tests/oracles.py once the benchmark stops "
     "requiring scipy.integrate on import (ROADMAP item 3)",
     "pre_periodogram": "the benchmark's pre-periodogram reference (ROADMAP item 3)",
@@ -77,6 +76,39 @@ def test_every_public_name_has_a_reader():
         if name not in called and not re.search(rf"\b{name}\b", readme)
     ]
     assert sorted(unread) == sorted(PUBLIC_WITHOUT_CALLER)
+
+
+GENERATOR_TYPES = {"Philox", "Generator", "default_rng"}
+
+
+def generator_owners(source: str) -> list[str]:
+    """Names of the top-level functions that call a numpy generator constructor
+    (`<module>` for a call outside any function)."""
+    owners = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in GENERATOR_TYPES:
+                    owners.append(owner)
+    return owners
+
+
+def test_scan_sees_a_generator_build():
+    source = "import numpy as np\ng = np.random.default_rng(0)\ndef f(s):\n    return Generator(Philox(s))\n"
+    assert generator_owners(source) == ["<module>", "f", "f"]
+
+
+def test_one_generator_construction_site():
+    # every stream is keyed through _seeds.normal_generator; a second site is a second contract
+    sites = {
+        (p.stem, owner)
+        for p in PACKAGE.glob("*.py")
+        for owner in generator_owners(p.read_text(encoding="utf-8"))
+    }
+    assert sites == {("_seeds", "normal_generator")}
 
 
 def test_package_reads_no_environment_variable():

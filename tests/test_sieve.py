@@ -13,7 +13,6 @@ from lsts import (
     StationaryAR,
     StationaryMA,
     aic_select,
-    bootstrap_replicate,
     default_window,
     run_test,
     simulate,
@@ -24,6 +23,7 @@ from lsts.empirical import distance_values, sup_statistic
 from lsts.sieve import (
     ESTIMATORS,
     ArFit,
+    _replicate_series,
     _replicate_statistics,
     autocovariance,
     decide,
@@ -199,37 +199,43 @@ class TestAicSelect:
             aic_select(x, 3, 3)
 
 
+def _first_replicate(x, fit, seed):
+    """Replicate 1 (innovation key seed ^ 1) of a B=1 draw."""
+    [(_, rows)] = _replicate_series(np.asarray(x, dtype=float), fit, 1, seed, 1)
+    return rows[0]
+
+
 class TestBootstrapReplicate:
     def test_zero_noise_collapse(self):
         fit = ArFit(order=1, coeffs=np.array([0.0]), sigma2=0.0)
         x = np.array([3.0, -1.0, 2.0, 0.5])
-        out = bootstrap_replicate(x, fit, seed=5)
+        out = _first_replicate(x, fit, seed=5)
         assert np.allclose(out, [3.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_zero_noise_recursion(self):
         fit = ArFit(order=1, coeffs=np.array([0.5]), sigma2=0.0)
         x = np.array([2.0, 9.0, 9.0, 9.0, 9.0])
-        out = bootstrap_replicate(x, fit, seed=5)
+        out = _first_replicate(x, fit, seed=5)
         assert np.allclose(out, [2.0, 1.0, 0.5, 0.25, 0.125], atol=1e-15)
 
     def test_order_zero_is_scaled_noise(self):
         fit = ArFit(order=0, coeffs=np.zeros(0), sigma2=2.0)
         x = simulate(StationaryAR(coeffs=(0.5,)), 64, seed=6)
-        out = bootstrap_replicate(x, fit, seed=9)
-        assert np.array_equal(out, normal_generator(9).standard_normal(64) * np.sqrt(2.0))
+        out = _first_replicate(x, fit, seed=9)
+        assert np.array_equal(out, normal_generator((9 ^ 1) & MASK64).standard_normal(64) * np.sqrt(2.0))
 
     def test_deterministic(self):
         x = simulate(StationaryAR(coeffs=(0.5,)), 64, seed=6)
         fit = aic_select(x, 2, 2)
-        a = bootstrap_replicate(x, fit, seed=42)
-        b = bootstrap_replicate(x, fit, seed=42)
+        a = _first_replicate(x, fit, seed=42)
+        b = _first_replicate(x, fit, seed=42)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, bootstrap_replicate(x, fit, seed=43))
+        assert not np.array_equal(a, _first_replicate(x, fit, seed=43))
 
     def test_initial_segment_copied(self):
         x = simulate(StationaryAR(coeffs=(0.5,)), 64, seed=7)
         fit = aic_select(x, 3, 3)
-        out = bootstrap_replicate(x, fit, seed=1)
+        out = _first_replicate(x, fit, seed=1)
         assert np.array_equal(out[:3], x[:3])
         assert out.shape == x.shape
 
@@ -259,7 +265,13 @@ class TestReplicateStream:
         B = 40
         keys = [(seed ^ i) & MASK64 for i in range(1, B + 1)]
         expected = np.array([normal_generator(k).standard_normal(n) for k in keys])
-        assert np.array_equal(normal_rows(keys, n), expected)
+        # a used generator leaks no state: after plain draws, and after an earlier call
+        drawn = normal_generator(seed + 1)
+        drawn.standard_normal(7)
+        reused = normal_generator(seed)
+        normal_rows(reused, keys[::-1], n + 3)
+        for generator in (normal_generator(seed), drawn, reused):
+            assert np.array_equal(normal_rows(generator, keys, n), expected)
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     @pytest.mark.parametrize("p", [0, 1, 3])
@@ -329,6 +341,23 @@ class TestReplicateStream:
         one_row, all_rows = draws.values()
         assert one_row.statistic == all_rows.statistic
         assert np.array_equal(one_row.replicates, all_rows.replicates)
+
+    @pytest.mark.parametrize("estimator,T", [("local", 64), ("pre", 32)])
+    def test_one_generator_per_test(self, monkeypatch, estimator, T):
+        x = simulate(StationaryAR(coeffs=(0.5,)), T, seed=34)
+        build = sieve.normal_generator
+        calls = []
+
+        def counted(seed):
+            calls.append(seed)
+            return build(seed)
+
+        monkeypatch.setattr(sieve, "normal_generator", counted)
+        for budget, alphas in [(1, ()), (1 << 40, ()), (1 << 40, (0.05,))]:
+            monkeypatch.setattr(sieve, "_BLOCK_BYTES", budget)
+            calls.clear()
+            sieve.bootstrap_draws(x, N=8, B=12, seed=7, estimator=estimator, alphas=alphas)
+            assert calls == [7]
 
 
 class TestReplicatePrefixProperty:
@@ -660,11 +689,22 @@ class TestDrawsInputChecks:
         with pytest.raises(ValueError, match=r"^series must be one-dimensional$"):
             sieve.bootstrap_draws(np.ones((8, 8)), B=9)
 
-    @pytest.mark.parametrize("B", [0, -2])
+    @pytest.mark.parametrize("B", [0, -2, 99.5])
     def test_replicates_positive(self, B):
         x = simulate(StationaryMA(), 64, seed=18)
-        with pytest.raises(ValueError, match=rf"^B must be at least 1, got {B}$"):
+        rule = "be an integer" if B % 1 else "be at least 1"
+        with pytest.raises(ValueError, match=rf"^B must {rule}, got {B}$"):
             sieve.bootstrap_draws(x, N=8, B=B)
+        with pytest.raises(ValueError, match=rf"^B must {rule}, got {B}$"):
+            run_test(x, N=8, B=B)
+
+    def test_whole_float_replicate_count(self):
+        # make_grid's rule for T and N: a whole float is that integer
+        x = simulate(StationaryMA(), 64, seed=18)
+        whole, as_float = run_test(x, N=8, B=100, seed=3), run_test(x, N=8, B=100.0, seed=3)
+        assert as_float.B == 100 and type(as_float.B) is int
+        assert np.array_equal(as_float.replicates, whole.replicates)
+        assert as_float.p_value == whole.p_value
 
     def test_short_pre_series(self):
         with pytest.raises(ValueError, match=r"^series too short: T=7$"):

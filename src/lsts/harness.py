@@ -3,15 +3,20 @@
 Each run simulates a fresh series, applies the bootstrap test and tallies
 rejections per nominal level.  A run's bootstrap stops as soon as its
 decision at every level is fixed (curtailed Monte Carlo testing, Besag &
-Clifford 1991), which gives the decisions of the full B replicates.  Run i
-derives its seed through a splittable hash, so adding runs or distributing
-them over processes never changes any individual result.
+Clifford 1991), which gives the decisions of the full B replicates.  Runs go
+to `bootstrap_draws` in groups, one batch per group, whose AIC fits,
+observed statistics and replicate blocks advance in lockstep; a group fills
+one replicate block per round (8 runs at T=128, one run from T=1024 on).
+Run i derives its seed through a splittable hash, and a batch gives each run
+its own draw bit for bit, so grouping the runs or distributing them over
+processes never changes any individual result.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,7 +24,8 @@ import numpy as np
 
 from ._seeds import run_seed
 from .models import ModelSpec, simulate
-from .sieve import ESTIMATORS, TestDraws, bootstrap_draws, decide, order_statistic_index
+from .sieve import TestDraws, _layout, _lockstep_runs, bootstrap_draws, decide, order_statistic_index
+from .spectral import _integer
 
 
 @dataclass
@@ -37,15 +43,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.alphas = tuple(float(a) for a in self.alphas)
-        if not float(self.runs).is_integer():
-            raise ValueError(f"runs must be an integer, got {self.runs}")
-        self.runs = int(self.runs)
+        self.runs = _integer(self.runs, "runs")
         if self.runs < 50:
             raise ValueError(f"need at least 50 runs for a meaningful rate, got {self.runs}")
         if not self.alphas:
             raise ValueError("alphas must name at least one level")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+        self.T = _integer(self.T, "series length T")
+        self.seed = _integer(self.seed, "seed")
+        with warnings.catch_warnings():  # a truncated tail is reported by the runs that drop it
+            warnings.simplefilter("ignore")
+            _layout(self.T, self.N, self.estimator, self.p_min, self.p_max)  # bootstrap_draws' checks
         if self.estimator == "pre":  # window-free: report no N, as run_test does
             self.N = None
         for a in self.alphas:  # the (B, alpha) rule of run_test
@@ -99,38 +106,56 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+def _draws(cfg: ExperimentConfig, series: np.ndarray, seed):
+    """`bootstrap_draws` under the configuration: one series and seed, or a batch and its seeds."""
+    return bootstrap_draws(
+        series,
+        N=cfg.N,
+        B=cfg.B,
+        p_min=cfg.p_min,
+        p_max=cfg.p_max,
+        seed=seed,
+        estimator=cfg.estimator,
+        alphas=cfg.alphas,
+    )
+
+
 def _single_run(cfg: ExperimentConfig, index: int) -> TestDraws:
     seed_i = run_seed(cfg.seed, index)
     try:
-        x = simulate(cfg.model, cfg.T, seed_i)
-        return bootstrap_draws(
-            x,
-            N=cfg.N,
-            B=cfg.B,
-            p_min=cfg.p_min,
-            p_max=cfg.p_max,
-            seed=seed_i,
-            estimator=cfg.estimator,
-            alphas=cfg.alphas,
-        )
+        return _draws(cfg, simulate(cfg.model, cfg.T, seed_i), seed_i)
     except Exception as exc:
         raise RuntimeError(f"run {index} (seed {seed_i}) failed: {exc}") from exc
+
+
+def _run_group(cfg: ExperimentConfig, indices: range) -> list[TestDraws]:
+    """The draws of runs `indices`, as one batch.  If the batch fails, its runs go again one at
+    a time, so that the error names the first run that fails."""
+    seeds = [run_seed(cfg.seed, i) for i in indices]
+    try:
+        return _draws(cfg, np.array([simulate(cfg.model, cfg.T, s) for s in seeds]), seeds)
+    except Exception:
+        return [_single_run(cfg, i) for i in indices]
 
 
 def run_experiment(cfg: ExperimentConfig, n_jobs: int = 1) -> ExperimentReport:
     """Estimate rejection probabilities for the configuration.
 
-    Runs go to up to n_jobs worker processes, at most os.cpu_count(); the
-    report is identical for any worker count, since `map` keeps run order.
+    Groups of runs go to up to n_jobs worker processes, at most
+    os.cpu_count(); the report is identical for any group size and worker
+    count, since each run's draw is its own and `map` keeps run order.
     """
     jobs = max(1, min(n_jobs, os.cpu_count() or 1))
     start = time.perf_counter()
+    size = _lockstep_runs(cfg.T)
+    groups = [range(lo, min(lo + size, cfg.runs)) for lo in range(0, cfg.runs, size)]
     if jobs == 1:
-        draws = [_single_run(cfg, i) for i in range(cfg.runs)]
+        batches = [_run_group(cfg, group) for group in groups]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, cfg.runs // (4 * jobs))
-            draws = list(pool.map(_single_run, [cfg] * cfg.runs, range(cfg.runs), chunksize=chunk))
+            chunk = max(1, len(groups) // (4 * jobs))
+            batches = list(pool.map(_run_group, [cfg] * len(groups), groups, chunksize=chunk))
+    draws = [d for batch in batches for d in batch]
 
     counts = {a: sum(decide(d.statistic, d.replicates, a, d.B)[2] for d in draws) for a in cfg.alphas}
     rates = {a: counts[a] / cfg.runs for a in cfg.alphas}

@@ -5,6 +5,13 @@ Whittle-type AIC, simulates Gaussian pseudo-series from the fitted recursion,
 and turns the sup-statistic plus its bootstrap replicates into a test
 decision.  One path here takes a series to its distance process, for the
 observed statistic, every replicate and the exported surface alike.
+
+`bootstrap_draws` also takes a batch of series, one seed each, as a Monte
+Carlo cell hands it a group of runs: the AIC fits, the observed statistics
+and the curtailed replicate blocks then run in lockstep over the batch, and
+each series gets its own draw bit for bit.  At T=128 a test makes some 150
+numpy calls on arrays of a few KB, so the per-call cost, not the arithmetic,
+is what a batch shares out.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .empirical import DistanceProcess, distance_values, sup_statistic
 from .spectral import (
     SpectralGrid,
     _block_periodograms,
+    _integer,
     make_grid,
     pre_periodogram_matrix,
     stationary_periodogram_all,
@@ -138,6 +146,16 @@ def _block_rows(row_bytes: int, budget: int) -> int:
     return max(1, budget // row_bytes)
 
 
+def _order_range(T: int, p_min, p_max) -> tuple[int, int]:
+    """The AIC's candidate orders p_min..p_max as ints; they must be whole and 1 <= p_min <= p_max < T/4."""
+    p_min, p_max = _integer(p_min, "p_min"), _integer(p_max, "p_max")
+    if not 1 <= p_min <= p_max:
+        raise ValueError(f"need 1 <= p_min <= p_max, got ({p_min}, {p_max})")
+    if p_max >= T / 4:
+        raise ValueError(f"p_max={p_max} too large for series length {T}")
+    return p_min, p_max
+
+
 def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
     """Order selection by the Whittle form of the AIC.
 
@@ -150,59 +168,66 @@ def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
     aic_select(x, p, p).
     """
     x = np.asarray(x, dtype=float)
-    T = x.shape[0]
-    if not 1 <= p_min <= p_max:
-        raise ValueError(f"need 1 <= p_min <= p_max, got ({p_min}, {p_max})")
-    if p_max >= T / 4:
-        raise ValueError(f"p_max={p_max} too large for series length {T}")
+    p_min, p_max = _order_range(x.shape[0], p_min, p_max)
     _check_range(x)
-    if np.ptp(x) == 0:  # by the spread, not gamma(0): a constant 0.1 leaves gamma(0) ~ 1e-34
-        raise DegenerateSeriesError("constant series: autocovariance at lag 0 is zero")
-    all_fits = _levinson_all(autocovariance(x, p_max), p_max)
-    pgram = stationary_periodogram_all(x)
+    return _aic_rows(x[None], p_min, p_max)[0]
 
-    # One block of candidate orders at a time.  Row r holds the one-step
-    # residuals z_t = X_t - sum_j a_j X_{t-j} of order block[r], valid from
-    # column block[r] on; lag j only touches the rows whose order is >= j.
+
+def _aic_rows(X: np.ndarray, p_min: int, p_max: int) -> list[ArFit]:
+    """`aic_select` of each row of an (R, T) batch whose orders and float64 range are checked;
+    every step runs over a (run, order) axis, and row r's fit equals its own call bit for bit."""
+    R, T = X.shape
+    if np.any(np.ptp(X, axis=1) == 0):  # by the spread, not gamma(0): a constant 0.1 leaves gamma(0) ~ 1e-34
+        raise DegenerateSeriesError("constant series: autocovariance at lag 0 is zero")
+    all_fits = [_levinson_all(autocovariance(x, p_max), p_max) for x in X]
+    pgram = stationary_periodogram_all(X)[:, None]
+
+    # One block of candidate orders at a time.  resid[k, r] holds run k's one-step
+    # residuals z_t = X_t - sum_j a_j X_{t-j} of order block[r], valid from column
+    # block[r] on; lag j only touches the orders >= j.
     orders = np.arange(p_min, p_max + 1)
-    sigmas = np.empty(len(orders))
-    trace = np.empty(len(orders))
-    step = _block_rows(8 * T, _BLOCK_BYTES)
+    sigmas = np.empty((R, len(orders)))
+    trace = np.empty((R, len(orders)))
+    step = _block_rows(8 * T * R, _BLOCK_BYTES)
     for lo in range(0, len(orders), step):
         block = orders[lo : lo + step]
         n, q = len(block), block[-1]
-        coeffs = np.zeros((n, q))
-        for r, p in enumerate(block):
-            coeffs[r, :p] = all_fits[p - 1]
-        resid = np.tile(x, (n, 1))
+        coeffs = np.zeros((R, n, q))
+        for fits, c in zip(all_fits, coeffs):
+            for r, p in enumerate(block):
+                c[r, :p] = fits[p - 1]
+        resid = np.repeat(X[:, None], n, axis=1)
         for j in range(1, q + 1):
             first = max(0, j - block[0])
-            resid[first:, j:] -= coeffs[first:, j - 1, None] * x[: T - j]
-        s = sigmas[lo : lo + n]
+            resid[:, first:, j:] -= coeffs[:, first:, j - 1, None] * X[:, None, : T - j]
+        s = sigmas[:, lo : lo + n]
         for r, p in enumerate(block):
-            z = resid[r, p:]
-            z -= z.mean()
-            s[r] = z @ z / (T - p)
-        vanished = np.flatnonzero(~(s > 0))
+            z = resid[:, r, p:]
+            z -= (z.sum(axis=-1) / (T - p))[:, None]  # each row's z.mean(), bit for bit
+            for k in range(R):
+                s[k, r] = z[k] @ z[k] / (T - p)
+        vanished = np.argwhere(~(s > 0))
         if vanished.size:
-            raise DegenerateSeriesError(f"residual variance vanished at order {block[vanished[0]]}")
+            raise DegenerateSeriesError(f"residual variance vanished at order {block[vanished[0, 1]]}")
 
-        poly = np.zeros((n, T))
-        poly[:, 0] = 1.0
-        poly[:, 1 : q + 1] = -coeffs
-        gain = np.abs(np.fft.rfft(poly)[:, 1 : T // 2 + 1]) ** 2
-        f = s[:, None] / (TWO_PI * gain)
-        trace[lo : lo + n] = np.sum(np.log(f) + pgram / f, axis=1) / T + block / T
+        poly = np.zeros((R, n, T))
+        poly[..., 0] = 1.0
+        poly[..., 1 : q + 1] = -coeffs
+        gain = np.abs(np.fft.rfft(poly)[..., 1 : T // 2 + 1]) ** 2
+        f = s[..., None] / (TWO_PI * gain)
+        trace[:, lo : lo + n] = np.sum(np.log(f) + pgram / f, axis=-1) / T + block / T
 
-    best = int(np.argmin(trace))
-    p = int(orders[best])
-    return ArFit(
-        order=p,
-        coeffs=all_fits[p - 1],
-        sigma2=float(sigmas[best]),
-        aic_trace=trace,
-        candidate_orders=orders,
-    )
+    best = np.argmin(trace, axis=1)
+    return [
+        ArFit(
+            order=int(orders[b]),
+            coeffs=fits[orders[b] - 1],
+            sigma2=float(sigma2[b]),
+            aic_trace=row,
+            candidate_orders=orders,
+        )
+        for fits, b, sigma2, row in zip(all_fits, best, sigmas, trace)
+    ]
 
 
 def _replicate_series(x: np.ndarray, fit: ArFit, B: int, seed: int, step: int):
@@ -234,38 +259,55 @@ def _open(below: int, drawn: int, B: int, k: int) -> bool:
     return below < k <= below + (B - drawn)
 
 
+def _lockstep_runs(T: int) -> int:
+    """Series per `bootstrap_draws` batch in a Monte Carlo cell: as many as let one lockstep round
+    of _CURTAIL_ROWS replicates each fill one _BLOCK_BYTES block (8 at T=128, 1 from T=1024 on)."""
+    return max(1, _block_rows(8 * T, _BLOCK_BYTES) // _CURTAIL_ROWS)
+
+
 def _replicate_statistics(
-    x: np.ndarray,
-    fit: ArFit,
+    X: np.ndarray,
+    fits: list[ArFit],
     B: int,
-    seed: int,
+    seeds: list[int],
     estimator: str,
     grid: SpectralGrid | None,
-    statistic: float = 0.0,
+    statistics: np.ndarray | None = None,
     ks: tuple[int, ...] = (),
-) -> np.ndarray:
-    """Sup-statistics of the first n <= B bootstrap pseudo-series, in blocks of rows sized
-    by _BLOCK_BYTES.
+) -> list[np.ndarray]:
+    """Sup-statistics of the first n <= B bootstrap pseudo-series of each row of an (R, T) batch.
 
-    n = B unless ks names order-statistic indices: then the blocks shrink to
-    _CURTAIL_ROWS rows, and the draw stops after the first block at which the
-    full-B decision against `statistic` is fixed at every k (Besag & Clifford's
-    curtailed Monte Carlo test).  Replicate i depends on seed XOR i alone, so
+    The rows advance in lockstep: each round takes the next block of every open row's
+    `_replicate_series` and scores the round with one `_statistics` call.  A round holds
+    one _BLOCK_BYTES block of rows.  n = B unless ks names order-statistic indices: then
+    the blocks shrink to at most _CURTAIL_ROWS rows, and a row stops after the first round
+    at which its full-B decision against statistics[row] is fixed at every k (Besag &
+    Clifford's curtailed Monte Carlo test).  Replicate i depends on seed XOR i alone, so
     the n drawn are the first n of the full draw, bit for bit.
     """
-    step = _block_rows(8 * x.shape[0], _BLOCK_BYTES)
+    R, T = X.shape
+    step = max(1, _block_rows(8 * T, _BLOCK_BYTES) // R)
     if ks:
         step = min(step, _CURTAIL_ROWS)
-    stats = np.empty(B)
-    below = 0
-    for lo, series in _replicate_series(x, fit, B, seed, step):
-        hi = lo + series.shape[0]
-        stats[lo:hi] = _statistics(series, estimator, grid)
+    streams = [_replicate_series(x, fit, B, seed, step) for x, fit, seed in zip(X, fits, seeds)]
+    stats = np.empty((R, B))
+    drawn = [B] * R
+    below = [0] * R
+    live = list(range(R))
+    for lo in range(0, B, step):
+        hi = min(lo + step, B)
+        blocks = [next(streams[r])[1] for r in live]
+        rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # one run: no copy
+        stats[live, lo:hi] = _statistics(rows, estimator, grid).reshape(len(live), hi - lo)
         if ks:
-            below += int(np.count_nonzero(stats[lo:hi] < statistic))
-            if not any(_open(below, hi, B, k) for k in ks):
-                return stats[:hi]
-    return stats
+            for r in live:
+                below[r] += int(np.count_nonzero(stats[r, lo:hi] < statistics[r]))
+                if not any(_open(below[r], hi, B, k) for k in ks):
+                    drawn[r] = hi
+            live = [r for r in live if drawn[r] == B]
+            if not live:
+                break
+    return [row[:n] for row, n in zip(stats, drawn)]
 
 
 def _estimates(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> tuple[np.ndarray, int]:
@@ -291,22 +333,33 @@ def _statistics(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> 
     return stats
 
 
-def _observed(x: np.ndarray, N: int | None, estimator: str) -> tuple[np.ndarray, SpectralGrid | None]:
-    """The checked series as the statistic sees it, and its grid (None for pre): the local
-    estimator drops the tail past a multiple of N (see `make_grid`), the pre estimator none."""
+def _layout(T: int, N: int | None, estimator: str, p_min=None, p_max=None):
+    """(grid, T the statistic sees, AIC order range) of a length-T series: the grid is None for
+    pre, and the local estimator drops the tail past a multiple of N (see `make_grid`).  These
+    are the checks that `bootstrap_draws` runs on a series and `ExperimentConfig` on its settings."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
-    grid = make_grid(x.shape[0], N) if estimator == "local" else None
-    T = grid.T if grid is not None else x.shape[0]
+    grid = make_grid(T, N) if estimator == "local" else None
+    T = grid.T if grid is not None else _integer(T, "series length T")
     if T < 8:
         raise ValueError(f"series too short: T={T}")
-    _check_range(x[:T])
-    return x[:T], grid
+    lo, hi = default_order_range(T)
+    return grid, T, _order_range(T, lo if p_min is None else p_min, hi if p_max is None else p_max)
+
+
+def _observed(x: np.ndarray, N: int | None, estimator: str, p_min=None, p_max=None, ndim: int = 1):
+    """The checked series (an (R, T) batch of them if ndim is 2) as the statistic sees it, with
+    the grid and the AIC order range of `_layout`."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim:
+        raise ValueError("series must be one-dimensional" if ndim == 1 else "a batch of series must be two-dimensional")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series contains non-finite values")
+    grid, T, orders = _layout(x.shape[-1], N, estimator, p_min, p_max)
+    x = x[..., :T]
+    for row in x.reshape(-1, T):
+        _check_range(row)
+    return x, grid, orders
 
 
 def distance_process(x: np.ndarray, N: int | None = None, estimator: str = "local") -> DistanceProcess:
@@ -315,7 +368,7 @@ def distance_process(x: np.ndarray, N: int | None = None, estimator: str = "loca
     Local: at the block midpoints and lambda_1..lambda_{N/2} of `make_grid(T, N)`.
     Pre: at t/T, t = 1..T, and 2 pi k/T, k = 1..T//2; N is ignored.
     """
-    x, grid = _observed(x, N, estimator)
+    x, grid, _ = _observed(x, N, estimator)
     T = x.shape[0]
     # a constant series passes `_check_range`, but its level can still overflow the estimates
     with np.errstate(over="ignore", invalid="ignore"):
@@ -340,7 +393,7 @@ def bootstrap_draws(
     seed: int = 0,
     estimator: str = "local",
     alphas: tuple[float, ...] = (),
-) -> TestDraws:
+) -> TestDraws | list[TestDraws]:
     """Observed sup-statistic plus B bootstrap replicate statistics.
 
     The series is checked and, for the local estimator, truncated as in
@@ -348,37 +401,47 @@ def bootstrap_draws(
     With levels in `alphas`, the draw is curtailed: it stops once `decide`'s
     full-B decision at every level is fixed, and `replicates` holds only the
     replicates drawn.  With none (the default), all B are drawn.
+
+    A batch is an (R, T) array with a sequence of R seeds: the result is then a
+    list of R draws, each bit for bit the draw of its own row and seed.  Its
+    AIC fits, observed statistics and replicate blocks run in lockstep, R
+    series per numpy call.
     """
     B = _replicate_count(B)
     ks = tuple(order_statistic_index(B, a) for a in alphas)
-    x, grid = _observed(x, N, estimator)
+    batch = np.ndim(seed) > 0
+    seeds = [_integer(s, "seed") for s in (seed if batch else [seed])]
+    x, grid, orders = _observed(x, N, estimator, p_min, p_max, ndim=1 + batch)
+    X = x.reshape(-1, x.shape[-1])
+    if not 0 < X.shape[0] == len(seeds):
+        raise ValueError(f"a batch needs one seed per series, got {len(seeds)} seeds for {X.shape[0]} series")
 
-    lo, hi = default_order_range(x.shape[0])
-    p_lo = lo if p_min is None else p_min
-    p_hi = hi if p_max is None else p_max
-    fit = aic_select(x, p_lo, p_hi)
-    statistic = float(_statistics(x[None], estimator, grid)[0])
-
-    return TestDraws(
-        statistic=statistic,
-        replicates=_replicate_statistics(x, fit, B, seed, estimator, grid, statistic, ks),
-        T=x.shape[0],
-        N=grid.N if grid is not None else None,
-        M=grid.M if grid is not None else None,
-        B=B,
-        order=fit.order,
-        seed=seed,
-        estimator=estimator,
-    )
+    fits = _aic_rows(X, *orders)
+    statistics = _statistics(X, estimator, grid)
+    replicates = _replicate_statistics(X, fits, B, seeds, estimator, grid, statistics, ks)
+    draws = [
+        TestDraws(
+            statistic=float(statistic),
+            replicates=reps,
+            T=X.shape[1],
+            N=grid.N if grid is not None else None,
+            M=grid.M if grid is not None else None,
+            B=B,
+            order=fit.order,
+            seed=s,
+            estimator=estimator,
+        )
+        for statistic, reps, fit, s in zip(statistics, replicates, fits, seeds)
+    ]
+    return draws if batch else draws[0]
 
 
 def _replicate_count(B) -> int:
     """B as an int; like T and N in `make_grid`, a fractional B raises rather than truncating."""
-    if not float(B).is_integer():
-        raise ValueError(f"B must be an integer, got {B}")
+    B = _integer(B, "B")
     if B < 1:
         raise ValueError(f"B must be at least 1, got {B}")
-    return int(B)
+    return B
 
 
 def order_statistic_index(B: int, alpha: float) -> int:
@@ -456,6 +519,7 @@ def run_test(
         Which distance process drives the statistic.
     """
     order_statistic_index(B, alpha)  # reject an unusable (B, alpha) before drawing
+    seed = _integer(seed, "seed")  # one seed: a sequence would make a batch
     draws = bootstrap_draws(x, N=N, B=B, p_min=p_min, p_max=p_max, seed=seed, estimator=estimator)
     critical, p_value, reject = decide(draws.statistic, draws.replicates, alpha)
     # vars, not dataclasses.asdict, which would deep-copy the replicates

@@ -55,13 +55,19 @@ def default_window(T: int) -> int:
     return min(candidates, key=lambda n: (T % n != 0, abs(n - target), -n))
 
 
+def _integer(value, name: str) -> int:
+    """value as an int: a whole float is that integer; a fractional one, or a sequence, raises
+    ValueError naming it."""
+    if np.ndim(value) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def make_grid(T: int, N: int | None = None) -> SpectralGrid:
     """Block grid of a length-T series: N (default_window(T) if omitted) must be even,
     at least 4 and leave two blocks; a tail past a multiple of N is dropped with a warning
     that names the first caller outside the package."""
-    if not float(T).is_integer():
-        raise ValueError(f"series length T must be an integer, got {T}")
-    T = int(T)
+    T = _integer(T, "series length T")
     N = default_window(T) if N is None else N
     if not float(N).is_integer() or int(N) % 2 or int(N) < 4:
         raise BadWindowError(f"N must be an even integer >= 4, got {N}")

@@ -3,9 +3,12 @@
 Everything here is written as a literal transcription of the defining
 formulas (double/triple loops, explicit complex sums, direct linear solves),
 deliberately sharing no code path with the package implementations.  The
-one exception is loop_aic_select, the per-order reference for the batched
-AIC: it reuses the package's autocovariance, Levinson fits and periodogram,
-and checks only how the residuals and the criterion are assembled over orders.
+exceptions are the two AIC references.  loop_aic_select, the per-order
+reference for the batched AIC, reuses the package's autocovariance, Levinson
+fits and periodogram, and checks only how the residuals and the criterion are
+assembled over orders.  per_series_aic_select is the package's earlier
+one-series AIC, kept as the bit-for-bit reference of the fits over a batch of
+series.
 rounded_pre_periodogram_matrix is vectorized because it stands in for the
 package's matrix inside whole bootstrap tests (criterion 5); it is itself
 pinned to the literal sum naive_rounded_pre_periodogram.
@@ -19,10 +22,13 @@ import math
 
 import numpy as np
 
+from lsts import sieve
 from lsts.empirical import limit_covariance_h0
 from lsts.sieve import (
     ArFit,
     DegenerateSeriesError,
+    _block_rows,
+    _check_range,
     _levinson_all,
     autocovariance,
 )
@@ -188,6 +194,62 @@ def loop_aic_select(x, p_min, p_max):
         f = sigma2 / (TWO_PI * gain)
         trace[i] = np.sum(np.log(f) + pgram / f) / T + p / T
         sigmas[i] = sigma2
+
+    best = int(np.argmin(trace))
+    p = int(orders[best])
+    return ArFit(
+        order=p,
+        coeffs=all_fits[p - 1],
+        sigma2=float(sigmas[best]),
+        aic_trace=trace,
+        candidate_orders=orders,
+    )
+
+
+def per_series_aic_select(x, p_min, p_max):
+    """Whittle-AIC order selection of one series, over blocks of candidate orders sized by
+    sieve._BLOCK_BYTES (read at call time), as the package ran it before fitting batches."""
+    x = np.asarray(x, dtype=float)
+    T = x.shape[0]
+    if not 1 <= p_min <= p_max:
+        raise ValueError(f"need 1 <= p_min <= p_max, got ({p_min}, {p_max})")
+    if p_max >= T / 4:
+        raise ValueError(f"p_max={p_max} too large for series length {T}")
+    _check_range(x)
+    if np.ptp(x) == 0:
+        raise DegenerateSeriesError("constant series: autocovariance at lag 0 is zero")
+    all_fits = _levinson_all(autocovariance(x, p_max), p_max)
+    pgram = stationary_periodogram_all(x)
+
+    orders = np.arange(p_min, p_max + 1)
+    sigmas = np.empty(len(orders))
+    trace = np.empty(len(orders))
+    step = _block_rows(8 * T, sieve._BLOCK_BYTES)
+    for lo in range(0, len(orders), step):
+        block = orders[lo : lo + step]
+        n, q = len(block), block[-1]
+        coeffs = np.zeros((n, q))
+        for r, p in enumerate(block):
+            coeffs[r, :p] = all_fits[p - 1]
+        resid = np.tile(x, (n, 1))
+        for j in range(1, q + 1):
+            first = max(0, j - block[0])
+            resid[first:, j:] -= coeffs[first:, j - 1, None] * x[: T - j]
+        s = sigmas[lo : lo + n]
+        for r, p in enumerate(block):
+            z = resid[r, p:]
+            z -= z.mean()
+            s[r] = z @ z / (T - p)
+        vanished = np.flatnonzero(~(s > 0))
+        if vanished.size:
+            raise DegenerateSeriesError(f"residual variance vanished at order {block[vanished[0]]}")
+
+        poly = np.zeros((n, T))
+        poly[:, 0] = 1.0
+        poly[:, 1 : q + 1] = -coeffs
+        gain = np.abs(np.fft.rfft(poly)[:, 1 : T // 2 + 1]) ** 2
+        f = s[:, None] / (TWO_PI * gain)
+        trace[lo : lo + n] = np.sum(np.log(f) + pgram / f, axis=1) / T + block / T
 
     best = int(np.argmin(trace))
     p = int(orders[best])

@@ -1,11 +1,14 @@
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from lsts import (
+    BadWindowError,
     ExperimentConfig,
+    ModelSpec,
     ScaledNoise,
     StationaryAR,
     StationaryMA,
@@ -17,6 +20,21 @@ from lsts import (
     simulate,
 )
 from lsts._seeds import run_seed, splitmix64
+
+
+@dataclass(frozen=True)
+class ConstantAfterFirstDraw(ModelSpec):
+    """White noise whose path is constant when its first draw exceeds `above`: every run
+    with such a path fails inside its AIC (a module-level class, so workers can unpickle it)."""
+
+    above: float = -np.inf
+
+    def label(self):
+        return f"constant-after-first-draw(above={self.above:g})"
+
+    def sample(self, T, rng):
+        z = rng.standard_normal(T)
+        return np.ones(T) if z[0] > self.above else z
 
 
 class TestConfigValidation:
@@ -47,6 +65,28 @@ class TestConfigValidation:
         cfg = ExperimentConfig(model=StationaryMA(), T=64, runs=50.0, B=19.0)
         assert (cfg.runs, cfg.B) == (50, 19) and type(cfg.runs) is type(cfg.B) is int
         whole = ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=19)
+        assert run_experiment(cfg).to_dict() | {"wall_time": 0} == run_experiment(whole).to_dict() | {"wall_time": 0}
+
+    @pytest.mark.parametrize(
+        "settings, error, message",
+        [
+            ({"T": 64.5}, ValueError, r"series length T must be an integer, got 64\.5"),
+            ({"N": 7}, BadWindowError, "N must be an even integer >= 4, got 7"),
+            ({"p_min": 0}, ValueError, r"need 1 <= p_min <= p_max, got \(0, 8\)"),
+            ({"seed": 1.5}, ValueError, r"seed must be an integer, got 1\.5"),
+            ({"p_min": 1.5, "p_max": 2}, ValueError, r"p_min must be an integer, got 1\.5"),
+        ],
+        ids=["fractional-length", "odd-window", "zero-order", "fractional-seed", "fractional-order"],
+    )
+    def test_config_that_cannot_run(self, settings, error, message):
+        # rejected at construction by the checks bootstrap_draws runs, not in run 0
+        with pytest.raises(error, match=f"^{message}$"):
+            ExperimentConfig(**{"model": StationaryMA(), "T": 64, "runs": 50, "B": 19, **settings})
+
+    def test_whole_float_seed_and_length(self):
+        cfg = ExperimentConfig(model=StationaryMA(), T=64.0, runs=50, B=19, seed=3.0)
+        assert (cfg.T, cfg.seed) == (64, 3) and type(cfg.T) is type(cfg.seed) is int
+        whole = ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=19, seed=3)
         assert run_experiment(cfg).to_dict() | {"wall_time": 0} == run_experiment(whole).to_dict() | {"wall_time": 0}
 
     def test_pre_reports_no_window(self):
@@ -141,9 +181,21 @@ class TestRunExperiment:
         assert f"runs={cfg.runs}" in table
 
     def test_failed_run_reports_seed(self):
-        cfg = ExperimentConfig(model=StationaryMA(), T=64, runs=50, N=7, seed=0)  # odd N
+        # every path is constant, so run 0's group fails and its runs go again one at a time
+        cfg = ExperimentConfig(model=ConstantAfterFirstDraw(), T=64, runs=50, N=8, seed=0)
         for n_jobs in (1, 2):  # a worker's failure reaches the caller with the same message
-            with pytest.raises(RuntimeError, match=r"run 0 \(seed \d+\)"):
+            with pytest.raises(RuntimeError, match=r"run 0 \(seed \d+\) failed: constant series"):
+                run_experiment(cfg, n_jobs=n_jobs)
+
+    def test_failed_group_names_its_first_failing_run(self):
+        # runs 0..15 share a group at T=64; the error names the first of them whose path is
+        # constant, not the group or its first run
+        cfg = ExperimentConfig(model=ConstantAfterFirstDraw(above=1.0), T=64, runs=50, N=8, seed=0)
+        failing = [i for i in range(cfg.runs) if np.ptp(simulate(cfg.model, cfg.T, run_seed(cfg.seed, i))) == 0]
+        first = failing[0]
+        assert 0 < first < harness._lockstep_runs(cfg.T)
+        for n_jobs in (1, 2):
+            with pytest.raises(RuntimeError, match=rf"^run {first} \(seed {run_seed(cfg.seed, first)}\) failed"):
                 run_experiment(cfg, n_jobs=n_jobs)
 
     def test_workers_capped_at_cpu_count(self, monkeypatch, small_report):
@@ -153,7 +205,7 @@ class TestRunExperiment:
         calls, bootstrap_draws = [], harness.bootstrap_draws
 
         def counting(*args, **kwargs):
-            calls.append(kwargs["seed"])
+            calls.extend(kwargs["seed"])  # one batch of runs per call
             return bootstrap_draws(*args, **kwargs)
 
         monkeypatch.setattr(harness, "bootstrap_draws", counting)
@@ -161,6 +213,25 @@ class TestRunExperiment:
         capped = run_experiment(cfg, n_jobs=64)
         assert calls == [run_seed(cfg.seed, i) for i in range(cfg.runs)]
         assert np.array_equal(capped.statistics, report.statistics)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_report_independent_of_group_size(self, monkeypatch, small_report, n_jobs):
+        # groups of one run and one group of all runs give the default grouping's report
+        cfg, report = small_report
+        sizes, bootstrap_draws = [], harness.bootstrap_draws
+
+        def counting(*args, **kwargs):
+            sizes.append(len(kwargs["seed"]))
+            return bootstrap_draws(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "bootstrap_draws", counting)
+        for size in (1, cfg.runs):
+            monkeypatch.setattr(harness, "_lockstep_runs", lambda T: size)
+            sizes.clear()
+            grouped = run_experiment(cfg, n_jobs=n_jobs)
+            assert grouped.to_dict() | {"wall_time": 0} == report.to_dict() | {"wall_time": 0}
+            if n_jobs == 1:  # worker processes count in their own copy of `sizes`
+                assert sizes == [size] * (cfg.runs // size)
 
     @pytest.mark.parametrize(
         "cfg",

@@ -23,6 +23,7 @@ from lsts.empirical import distance_values, sup_statistic
 from lsts.sieve import (
     ESTIMATORS,
     ArFit,
+    _aic_rows,
     _replicate_series,
     _replicate_statistics,
     autocovariance,
@@ -33,6 +34,7 @@ from lsts.sieve import (
 from lsts.spectral import _block_periodograms, make_grid
 from oracles import (
     loop_aic_select,
+    per_series_aic_select,
     take_pre_periodogram_matrix,
     three_pass_default_window,
     toeplitz_yule_walker,
@@ -198,6 +200,37 @@ class TestAicSelect:
         with pytest.raises(DegenerateSeriesError, match="vanished at order 3$"):
             aic_select(x, 3, 3)
 
+    @pytest.mark.parametrize("budget", [None, 1, 1 << 40], ids=["default", "one-order", "one-block"])
+    @pytest.mark.parametrize("T, R", [(64, 6), (512, 3), (4096, 2)])
+    def test_rows_equal_per_series_fits(self, monkeypatch, budget, T, R):
+        # a batch's fits are the per-series fits bit for bit, whatever its order blocks;
+        # T=4096 has 37 candidate orders, in several blocks at the default budget
+        if budget is not None:
+            monkeypatch.setattr(sieve, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(T + R)
+        models = [StationaryAR(coeffs=(0.5, -0.3)), StationaryMA(coeffs=(0.8,)), StationaryAR(coeffs=(0.995,))]
+        X = np.array([
+            rng.normal() * 10.0 ** rng.uniform(-5, 5)
+            + 10.0 ** rng.uniform(-5, 5) * simulate(models[r % 3], T, seed=1200 + r)
+            for r in range(R)
+        ])
+        _, p_max = default_order_range(T)
+        for p_min in (1, 3):
+            fits = _aic_rows(X, p_min, p_max)
+            assert len(fits) == R
+            for x, got in zip(X, fits):
+                ref = per_series_aic_select(x, p_min, p_max)
+                assert got.order == ref.order
+                assert got.sigma2 == ref.sigma2
+                assert np.array_equal(got.aic_trace, ref.aic_trace)
+                assert np.array_equal(got.candidate_orders, ref.candidate_orders)
+                assert np.array_equal(got.coeffs, ref.coeffs)
+
+    def test_any_constant_row_fails_the_batch(self):
+        X = np.vstack([simulate(StationaryMA(), 64, seed=19), np.full(64, 0.1)])
+        with pytest.raises(DegenerateSeriesError, match="constant series"):
+            _aic_rows(X, 1, 4)
+
 
 def _first_replicate(x, fit, seed):
     """Replicate 1 (innovation key seed ^ 1) of a B=1 draw."""
@@ -284,7 +317,7 @@ class TestReplicateStream:
         expected = sup_statistic(
             distance_values(_block_periodograms(series.reshape(B, grid.M, grid.N)), T), T
         )
-        got = _replicate_statistics(x, fit, B, seed, "local", grid)
+        [got] = _replicate_statistics(x[None], [fit], B, [seed], "local", grid)
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("T", [33, 64])
@@ -296,7 +329,7 @@ class TestReplicateStream:
         fit = aic_select(x, p, p) if p else ArFit(order=0, coeffs=np.zeros(0), sigma2=float(x.var()))
         series = _contract_series(x, fit, B, seed)
         expected = sup_statistic(distance_values(take_pre_periodogram_matrix(series), T * T), T)
-        got = _replicate_statistics(x, fit, B, seed, "pre", None)
+        [got] = _replicate_statistics(x[None], [fit], B, [seed], "pre", None)
         assert np.array_equal(got, expected)
 
     def test_pre_statistics_independent_of_chunk_budget(self, monkeypatch):
@@ -709,6 +742,60 @@ class TestDrawsInputChecks:
     def test_short_pre_series(self):
         with pytest.raises(ValueError, match=r"^series too short: T=7$"):
             sieve.bootstrap_draws(np.arange(7.0), B=9, estimator="pre")
+
+    @pytest.mark.parametrize(
+        "name, settings",
+        [("seed", {"seed": 1.5}), ("p_min", {"p_min": 1.5, "p_max": 2}), ("p_max", {"p_min": 1, "p_max": 2.5})],
+        ids=["seed", "p_min", "p_max"],
+    )
+    def test_fractional_integer_argument_names_it(self, name, settings):
+        x = simulate(StationaryMA(), 64, seed=18)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {settings[name]}$"):
+            run_test(x, N=8, B=19, alpha=0.1, **settings)
+
+    def test_whole_float_seed_and_orders(self):
+        x = simulate(StationaryMA(), 64, seed=18)
+        whole = run_test(x, N=8, B=19, alpha=0.1, seed=3, p_min=1, p_max=3)
+        as_float = run_test(x, N=8, B=19, alpha=0.1, seed=3.0, p_min=1.0, p_max=3.0)
+        assert as_float.seed == 3 and type(as_float.seed) is int
+        assert np.array_equal(as_float.replicates, whole.replicates)
+        assert (as_float.statistic, as_float.order) == (whole.statistic, whole.order)
+
+    def test_batch_seeds_checked(self):
+        X = np.vstack([simulate(StationaryMA(), 64, seed=s) for s in (18, 19)])
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.5$"):
+            sieve.bootstrap_draws(X, N=8, B=9, seed=[1, 2.5])
+        with pytest.raises(ValueError, match=r"^a batch needs one seed per series, got 3 seeds for 2 series$"):
+            sieve.bootstrap_draws(X, N=8, B=9, seed=[1, 2, 3])
+        with pytest.raises(ValueError, match=r"^a batch of series must be two-dimensional$"):
+            sieve.bootstrap_draws(X[0], N=8, B=9, seed=[1])
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got \[1, 2\]$"):
+            run_test(X, N=8, B=9, alpha=0.2, seed=[1, 2])  # a test has one series and one seed
+
+
+class TestBatchDrawProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st.integers(16, 96),
+        R=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        B=st.integers(10, 60),
+        alphas=st.sampled_from([(), (0.05,), (0.1, 0.5)]),
+        estimator=st.sampled_from(ESTIMATORS),
+    )
+    def test_batch_equals_per_series_draws(self, T, R, seed, B, alphas, estimator):
+        # each row's draw is its own call's, field by field, curtailed or not
+        rng = np.random.default_rng(seed)
+        X = 10.0 ** rng.uniform(-3, 3, (R, 1)) * rng.standard_normal((R, T - T % 8))
+        seeds = [int(s) for s in rng.integers(0, 2**63, R)]
+        batch = sieve.bootstrap_draws(X, N=8, B=B, seed=seeds, estimator=estimator, alphas=alphas)
+        assert len(batch) == R
+        for x, s, got in zip(X, seeds, batch):
+            want = sieve.bootstrap_draws(x, N=8, B=B, seed=s, estimator=estimator, alphas=alphas)
+            assert type(got) is sieve.TestDraws and vars(got).keys() == vars(want).keys()
+            for name, value in vars(want).items():
+                assert type(getattr(got, name)) is type(value)
+                assert np.array_equal(getattr(got, name), value), name
 
 
 class TestSurfaceIsStatistic:

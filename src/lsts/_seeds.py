@@ -9,9 +9,10 @@ Bootstrap replicate contract: replicate i (i = 1..B) of a test with base
 seed s draws its standard normal innovations from the Philox stream with key
 (s ^ i) & MASK64, starting at counter 0, i.e. exactly
 normal_generator((s ^ i) & MASK64).standard_normal(n).  The values do not
-depend on how the stream is produced: a test builds one generator with
-normal_generator(seed), and normal_rows resets its key and counter for each
-replicate, which yields the same numbers as a fresh generator per replicate.
+depend on how the stream is produced: one generator normal_generator(seed)
+serves a test or a Monte Carlo batch of tests, as normal_rows resets its key
+and counter for each replicate, which yields the same numbers as a fresh
+generator per replicate.
 Because replicate i depends on its own key alone, the first n replicates of
 a test are the same for every B >= n: this is what makes a Monte Carlo run's
 curtailed draw (the first n of B replicates, stopped once its decisions are

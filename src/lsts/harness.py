@@ -3,13 +3,14 @@
 Each run simulates a fresh series, applies the bootstrap test and tallies
 rejections per nominal level.  A run's bootstrap stops as soon as its
 decision at every level is fixed (curtailed Monte Carlo testing, Besag &
-Clifford 1991), which gives the decisions of the full B replicates.  Runs go
-to `bootstrap_draws` in groups, one batch per group, whose AIC fits,
-observed statistics and replicate blocks advance in lockstep; a group fills
-one replicate block per round (8 runs at T=128, one run from T=1024 on).
-Run i derives its seed through a splittable hash, and a batch gives each run
-its own draw bit for bit, so grouping the runs or distributing them over
-processes never changes any individual result.
+Clifford 1991), which gives the decisions of the full B replicates.
+`_run_group` alone simulates and draws runs, one batch per group: its AIC
+fits, observed statistics and replicate blocks advance in lockstep, and one
+generator draws its noise; a group fills one replicate block per round (8
+runs at T=128, one from T=1024 on), and a failing batch goes again run by
+run.  Run i derives its seed through a splittable hash, and a batch gives
+each run its own draw bit for bit, so grouping the runs or distributing
+them over processes never changes any individual result.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ class ExperimentConfig:
     p_max: int | None = None
 
     def __post_init__(self):
+        if np.ndim(self.alphas) != 1:
+            raise ValueError(f"alphas must be a sequence of levels, got {self.alphas!r}")
         self.alphas = tuple(float(a) for a in self.alphas)
         self.runs = _integer(self.runs, "runs")
         if self.runs < 50:
@@ -106,36 +109,25 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _draws(cfg: ExperimentConfig, series: np.ndarray, seed):
-    """`bootstrap_draws` under the configuration: one series and seed, or a batch and its seeds."""
-    return bootstrap_draws(
-        series,
-        N=cfg.N,
-        B=cfg.B,
-        p_min=cfg.p_min,
-        p_max=cfg.p_max,
-        seed=seed,
-        estimator=cfg.estimator,
-        alphas=cfg.alphas,
-    )
-
-
-def _single_run(cfg: ExperimentConfig, index: int) -> TestDraws:
-    seed_i = run_seed(cfg.seed, index)
-    try:
-        return _draws(cfg, simulate(cfg.model, cfg.T, seed_i), seed_i)
-    except Exception as exc:
-        raise RuntimeError(f"run {index} (seed {seed_i}) failed: {exc}") from exc
-
-
 def _run_group(cfg: ExperimentConfig, indices: range) -> list[TestDraws]:
-    """The draws of runs `indices`, as one batch.  If the batch fails, its runs go again one at
-    a time, so that the error names the first run that fails."""
+    """The draws of runs `indices`, simulated and drawn as one batch.  If a batch of several runs
+    fails, each run goes again as a group of one, so that the error names the first run that fails."""
     seeds = [run_seed(cfg.seed, i) for i in indices]
     try:
-        return _draws(cfg, np.array([simulate(cfg.model, cfg.T, s) for s in seeds]), seeds)
-    except Exception:
-        return [_single_run(cfg, i) for i in indices]
+        return bootstrap_draws(
+            np.array([simulate(cfg.model, cfg.T, s) for s in seeds]),
+            N=cfg.N,
+            B=cfg.B,
+            p_min=cfg.p_min,
+            p_max=cfg.p_max,
+            seed=seeds,
+            estimator=cfg.estimator,
+            alphas=cfg.alphas,
+        )
+    except Exception as exc:
+        if len(indices) > 1:
+            return [draw for i in indices for draw in _run_group(cfg, range(i, i + 1))]
+        raise RuntimeError(f"run {indices[0]} (seed {seeds[0]}) failed: {exc}") from exc
 
 
 def run_experiment(cfg: ExperimentConfig, n_jobs: int = 1) -> ExperimentReport:

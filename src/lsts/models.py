@@ -21,6 +21,7 @@ import numpy as np
 from scipy.signal import lfilter, lfiltic
 
 from ._seeds import normal_generator
+from .spectral import _integer
 
 BURN_IN = 1000
 MIN_LENGTH = 8
@@ -204,8 +205,10 @@ def simulate(model: ModelSpec, T: int, seed: int) -> np.ndarray:
     Innovations are i.i.d. standard normal from a counter-based generator.
     Stationary recursions are warmed up with BURN_IN discarded steps; the
     time-varying recursions use rescaled time t/T exactly as defined and start
-    from zero (AR-type) or from pre-period innovations (MA-type).
+    from zero (AR-type) or from pre-period innovations (MA-type).  T and seed
+    must be whole numbers.
     """
+    T, seed = _integer(T, "series length T"), _integer(seed, "seed")
     if T < MIN_LENGTH:
         raise ValueError(f"T must be at least {MIN_LENGTH}, got {T}")
     return model.sample(T, normal_generator(seed))

@@ -8,10 +8,10 @@ observed statistic, every replicate and the exported surface alike.
 
 `bootstrap_draws` also takes a batch of series, one seed each, as a Monte
 Carlo cell hands it a group of runs: the AIC fits, the observed statistics
-and the curtailed replicate blocks then run in lockstep over the batch, and
-each series gets its own draw bit for bit.  At T=128 a test makes some 150
-numpy calls on arrays of a few KB, so the per-call cost, not the arithmetic,
-is what a batch shares out.
+and the curtailed replicate blocks then run in lockstep over the batch, one
+noise generator serves it all, and each series gets its own draw bit for
+bit.  At T=128 a test makes some 150 numpy calls on arrays of a few KB, so
+the per-call cost, not the arithmetic, is what a batch shares out.
 """
 
 from __future__ import annotations
@@ -230,27 +230,26 @@ def _aic_rows(X: np.ndarray, p_min: int, p_max: int) -> list[ArFit]:
     ]
 
 
-def _replicate_series(x: np.ndarray, fit: ArFit, B: int, seed: int, step: int):
-    """Blocks (lo, rows) of bootstrap pseudo-series lo+1..lo+len(rows), in order, up to B.
+def _replicate_series(x: np.ndarray, fit: ArFit, B: int, seed: int, step: int, generator):
+    """Bootstrap pseudo-series 1..B in order, as (rows, T) blocks of `step` rows (the last may be shorter).
 
     Replicate i draws its innovations from the stream keyed by seed XOR i, so
     its series does not depend on the block size, on the schedule or on how
-    many blocks a consumer takes.  The noise generator and the AR filter's
-    initial state are built once per test, and no (B, T) array is ever built.
+    many blocks a consumer takes.  `normal_rows` re-keys `generator` for each
+    row, so one generator serves a whole batch; the AR filter's initial state
+    is built once per series, and no (B, T) array is ever built.
     """
     T = x.shape[0]
     p = fit.order
     scale = np.sqrt(fit.sigma2)
     a_poly = np.r_[1.0, -np.asarray(fit.coeffs, dtype=float)]
     zi = lfiltic([1.0], a_poly, x[p - 1 :: -1])
-    generator = normal_generator(seed)
     for lo in range(0, B, step):
         series = normal_rows(generator, [seed ^ i for i in range(lo + 1, min(lo + step, B) + 1)], T - p)
         series *= scale
         n = series.shape[0]
         tails, _ = lfilter([1.0], a_poly, series, axis=-1, zi=np.tile(zi, (n, 1)))
-        series = np.concatenate([np.tile(x[:p], (n, 1)), tails], axis=1)  # frees the noise block
-        yield lo, series
+        yield np.concatenate([np.tile(x[:p], (n, 1)), tails], axis=1)  # frees the noise block
 
 
 def _open(below: int, drawn: int, B: int, k: int) -> bool:
@@ -289,14 +288,15 @@ def _replicate_statistics(
     step = max(1, _block_rows(8 * T, _BLOCK_BYTES) // R)
     if ks:
         step = min(step, _CURTAIL_ROWS)
-    streams = [_replicate_series(x, fit, B, seed, step) for x, fit, seed in zip(X, fits, seeds)]
+    generator = normal_generator(seeds[0])
+    streams = [_replicate_series(x, fit, B, seed, step, generator) for x, fit, seed in zip(X, fits, seeds)]
     stats = np.empty((R, B))
     drawn = [B] * R
     below = [0] * R
     live = list(range(R))
     for lo in range(0, B, step):
         hi = min(lo + step, B)
-        blocks = [next(streams[r])[1] for r in live]
+        blocks = [next(streams[r]) for r in live]
         rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # one run: no copy
         stats[live, lo:hi] = _statistics(rows, estimator, grid).reshape(len(live), hi - lo)
         if ks:

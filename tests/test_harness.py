@@ -75,11 +75,12 @@ class TestConfigValidation:
             ({"p_min": 0}, ValueError, r"need 1 <= p_min <= p_max, got \(0, 8\)"),
             ({"seed": 1.5}, ValueError, r"seed must be an integer, got 1\.5"),
             ({"p_min": 1.5, "p_max": 2}, ValueError, r"p_min must be an integer, got 1\.5"),
+            ({"alphas": 0.05}, ValueError, r"alphas must be a sequence of levels, got 0\.05"),
         ],
-        ids=["fractional-length", "odd-window", "zero-order", "fractional-seed", "fractional-order"],
+        ids=["fractional-length", "odd-window", "zero-order", "fractional-seed", "fractional-order", "scalar-levels"],
     )
     def test_config_that_cannot_run(self, settings, error, message):
-        # rejected at construction by the checks bootstrap_draws runs, not in run 0
+        # rejected at construction (by the checks bootstrap_draws runs, or the levels' own), not in run 0
         with pytest.raises(error, match=f"^{message}$"):
             ExperimentConfig(**{"model": StationaryMA(), "T": 64, "runs": 50, "B": 19, **settings})
 
@@ -249,7 +250,7 @@ class TestRunExperiment:
         for i in range(cfg.runs):
             seed_i = run_seed(cfg.seed, i)
             x = simulate(cfg.model, cfg.T, seed_i)
-            draws = harness._single_run(cfg, i)
+            draws = harness._run_group(cfg, range(i, i + 1))[0]
             assert isinstance(draws, sieve.TestDraws)
             assert len(draws.replicates) <= draws.B
             for a in cfg.alphas:
@@ -283,7 +284,7 @@ class TestRunExperiment:
             x = simulate(cfg.model, cfg.T, seed_i)
             full = sieve.bootstrap_draws(x, N=cfg.N, B=cfg.B, seed=seed_i, estimator=cfg.estimator)
             assert len(full.replicates) == cfg.B
-            assert len(harness._single_run(cfg, i).replicates) <= cfg.B
+            assert len(harness._run_group(cfg, range(i, i + 1))[0].replicates) <= cfg.B
             statistics.append(full.statistic)
             for a in cfg.alphas:
                 counts[a] += sieve.decide(full.statistic, full.replicates, a)[2]
@@ -300,7 +301,7 @@ class TestRunExperiment:
     def test_curtailment_saves_replicates(self):
         # mc-local's cell: a null run stops once enough replicates lie above
         cfg = ExperimentConfig(model=StationaryAR(coeffs=(0.5,)), T=128, runs=100, N=16, B=200, seed=0)
-        drawn = [len(harness._single_run(cfg, i).replicates) for i in range(cfg.runs)]
+        drawn = [len(draws.replicates) for draws in harness._run_group(cfg, range(cfg.runs))]
         assert max(drawn) <= cfg.B
         assert sum(drawn) < 0.6 * cfg.runs * cfg.B
 

@@ -22,8 +22,9 @@ README = PACKAGE.parents[1] / "README.md"
 
 # public names with neither a package caller nor a README mention, and why they stay
 PUBLIC_WITHOUT_CALLER = {
-    "limit_covariance_h0": "test oracle; moves to tests/oracles.py once the benchmark stops "
-    "requiring scipy.integrate on import (ROADMAP item 3)",
+    "limit_covariance_h0": "test oracle; its scipy.integrate import is the one that `-X importtime` "
+    "names, which the benchmark's traced run reads (test_traced_run_finds_every_import_line), so it "
+    "moves to tests/oracles.py once the benchmark stops reading that line (ROADMAP item 3)",
     "pre_periodogram": "the benchmark's pre-periodogram reference (ROADMAP item 3)",
 }
 

@@ -63,6 +63,15 @@ class TestSimulate:
         with pytest.raises(ValueError, match="at least"):
             simulate(StationaryMA(), 7, 0)
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label())
+    def test_whole_number_length_and_seed(self, model):
+        # the package-wide whole-number rule: a fractional value raises naming it, a whole float is that int
+        for T, seed, message in [(64.5, 0, r"series length T must be an integer, got 64\.5"),
+                                 (64, 1.5, r"seed must be an integer, got 1\.5")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                simulate(model, T, seed)
+        assert simulate(model, 64.0, 2.0).tobytes() == simulate(model, 64, 2).tobytes()
+
     def test_white_noise_moments(self):
         x = simulate(StationaryMA(), 64, seed=123)
         assert x.shape == (64,)

@@ -234,7 +234,7 @@ class TestAicSelect:
 
 def _first_replicate(x, fit, seed):
     """Replicate 1 (innovation key seed ^ 1) of a B=1 draw."""
-    [(_, rows)] = _replicate_series(np.asarray(x, dtype=float), fit, 1, seed, 1)
+    [rows] = _replicate_series(np.asarray(x, dtype=float), fit, 1, seed, 1, normal_generator(seed))
     return rows[0]
 
 
@@ -377,7 +377,8 @@ class TestReplicateStream:
 
     @pytest.mark.parametrize("estimator,T", [("local", 64), ("pre", 32)])
     def test_one_generator_per_test(self, monkeypatch, estimator, T):
-        x = simulate(StationaryAR(coeffs=(0.5,)), T, seed=34)
+        # one generator per bootstrap_draws call, for one series and for a batch of three alike
+        X = np.array([simulate(StationaryAR(coeffs=(0.5,)), T, seed=s) for s in (34, 35, 36)])
         build = sieve.normal_generator
         calls = []
 
@@ -388,9 +389,10 @@ class TestReplicateStream:
         monkeypatch.setattr(sieve, "normal_generator", counted)
         for budget, alphas in [(1, ()), (1 << 40, ()), (1 << 40, (0.05,))]:
             monkeypatch.setattr(sieve, "_BLOCK_BYTES", budget)
-            calls.clear()
-            sieve.bootstrap_draws(x, N=8, B=12, seed=7, estimator=estimator, alphas=alphas)
-            assert calls == [7]
+            for series, seed in [(X[0], 7), (X, [7, 8, 9])]:
+                calls.clear()
+                sieve.bootstrap_draws(series, N=8, B=12, seed=seed, estimator=estimator, alphas=alphas)
+                assert calls == [7]
 
 
 class TestReplicatePrefixProperty:

@@ -46,6 +46,10 @@ class ExperimentConfig:
         if np.ndim(self.alphas) != 1:
             raise ValueError(f"alphas must be a sequence of levels, got {self.alphas!r}")
         self.alphas = tuple(float(a) for a in self.alphas)
+        if len(set(self.alphas)) < len(self.alphas):
+            raise ValueError(f"alphas must not repeat a level, got {self.alphas}")
+        if not isinstance(self.model, ModelSpec):
+            raise ValueError(f"model must be a ModelSpec, got {self.model!r}")
         self.runs = _integer(self.runs, "runs")
         if self.runs < 50:
             raise ValueError(f"need at least 50 runs for a meaningful rate, got {self.runs}")

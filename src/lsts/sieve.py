@@ -141,6 +141,16 @@ def _check_range(x: np.ndarray) -> None:
     )
 
 
+def _series(x, ndim: int = 1) -> np.ndarray:
+    """x as a float array of ndim axes (a series, or an (R, T) batch of them) of finite values."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim:
+        raise ValueError("series must be one-dimensional" if ndim == 1 else "a batch of series must be two-dimensional")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series contains non-finite values")
+    return x
+
+
 def _block_rows(row_bytes: int, budget: int) -> int:
     """Rows per block such that one (rows, ...) array of row_bytes per row fits budget."""
     return max(1, budget // row_bytes)
@@ -167,7 +177,7 @@ def aic_select(x: np.ndarray, p_min: int, p_max: int) -> ArFit:
     periodogram; ties break to the smallest order.  A fixed-order fit is
     aic_select(x, p, p).
     """
-    x = np.asarray(x, dtype=float)
+    x = _series(x)
     p_min, p_max = _order_range(x.shape[0], p_min, p_max)
     _check_range(x)
     return _aic_rows(x[None], p_min, p_max)[0]
@@ -321,15 +331,20 @@ def _estimates(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> t
 
 def _statistics(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> np.ndarray:
     """Sup-statistics of the rows of an (R, T) batch; the observed series is a batch of one.
-    Pre rows run in chunks of _PRE_CHUNK_BYTES; rows never mix, so batching changes no bit."""
+    Pre rows run in chunks of _PRE_CHUNK_BYTES; rows never mix, so batching changes no bit.
+    The one float64 rule: estimates that overflow (a level far above the spread) raise ValueError."""
     R, T = rows.shape
     step = R if estimator == "local" else _block_rows(8 * T * T, _PRE_CHUNK_BYTES)
     stats = np.empty(R)
-    for lo in range(0, R, step):
-        # `estimates` keeps this chunk's arrays until the next chunk replaces them: freed earlier,
-        # glibc returns their pages to the OS and faults them in again (T=256 pre: ~35 % slower)
-        estimates = _estimates(rows[lo : lo + step], estimator, grid)
-        stats[lo : lo + step] = sup_statistic(distance_values(*estimates), T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, R, step):
+            # `estimates` keeps this chunk's arrays until the next chunk replaces them: freed earlier,
+            # glibc returns their pages to the OS and faults them in again (T=256 pre: ~35 % slower)
+            estimates = _estimates(rows[lo : lo + step], estimator, grid)
+            stats[lo : lo + step] = sup_statistic(distance_values(*estimates), T)
+    if not np.all(np.isfinite(stats)):
+        big = np.abs(rows[~np.isfinite(stats)]).max()
+        raise ValueError(f"the series' spectral estimates overflow float64 (max |x| = {big:.3g}); rescale the series")
     return stats
 
 
@@ -350,11 +365,7 @@ def _layout(T: int, N: int | None, estimator: str, p_min=None, p_max=None):
 def _observed(x: np.ndarray, N: int | None, estimator: str, p_min=None, p_max=None, ndim: int = 1):
     """The checked series (an (R, T) batch of them if ndim is 2) as the statistic sees it, with
     the grid and the AIC order range of `_layout`."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != ndim:
-        raise ValueError("series must be one-dimensional" if ndim == 1 else "a batch of series must be two-dimensional")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
+    x = _series(x, ndim)
     grid, T, orders = _layout(x.shape[-1], N, estimator, p_min, p_max)
     x = x[..., :T]
     for row in x.reshape(-1, T):
@@ -363,25 +374,20 @@ def _observed(x: np.ndarray, N: int | None, estimator: str, p_min=None, p_max=No
 
 
 def distance_process(x: np.ndarray, N: int | None = None, estimator: str = "local") -> DistanceProcess:
-    """Distance process of the series; its sup_stat is `run_test`'s statistic, bit for bit.
+    """Distance process of the series; its sup_stat and float64 rule are `run_test`'s, from `_statistics`.
 
     Local: at the block midpoints and lambda_1..lambda_{N/2} of `make_grid(T, N)`.
     Pre: at t/T, t = 1..T, and 2 pi k/T, k = 1..T//2; N is ignored.
     """
     x, grid, _ = _observed(x, N, estimator)
     T = x.shape[0]
-    # a constant series passes `_check_range`, but its level can still overflow the estimates
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = distance_values(*_estimates(x[None], estimator, grid))[0]
-    if not np.all(np.isfinite(values)):
-        raise ValueError(
-            f"the series' spectral estimates overflow float64 (max |x| = {np.abs(x).max():.3g}); rescale the series"
-        )
+    sup_stat = float(_statistics(x[None], estimator, grid)[0])
+    values = distance_values(*_estimates(x[None], estimator, grid))[0]
     if grid is not None:
         times, freqs = grid.midpoints, grid.frequencies
     else:
         times, freqs = np.arange(1, T + 1) / T, TWO_PI * np.arange(1, T // 2 + 1) / T
-    return DistanceProcess(values, times, freqs, float(sup_statistic(values, T)))
+    return DistanceProcess(values, times, freqs, sup_stat)
 
 
 def bootstrap_draws(

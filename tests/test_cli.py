@@ -133,6 +133,19 @@ class TestTest:
         assert err.startswith(f"lsts: error: the series' autocovariance {flow} float64 (max |x - mean| = ")
         assert err.endswith("); rescale the series\n")
 
+    @pytest.mark.parametrize("level", [1e160, 1e155])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_overflowing_level_asks_to_rescale(self, tmp_path, capsys, level, estimator):
+        # the spread passes the autocovariance check, the level overflows the spectral estimates:
+        # one error line, where a nan critical value or statistic used to pass with exit 0
+        path = tmp_path / "level.csv"
+        x = level + 1e150 * simulate(StationaryAR(coeffs=(0.5,)), 128, seed=3)
+        path.write_text("".join(f"{v:.17g}\n" for v in x))
+        argv = ["--N", "16", "--B", "19", "--alpha", "0.1", "--estimator", estimator]
+        code, out, err = run_cli(capsys, "test", str(path), *argv)
+        assert (code, out) == (3, "")
+        assert err == f"lsts: error: the series' spectral estimates overflow float64 (max |x| = {level:.3g}); rescale the series\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "test", "/nonexistent/data.csv")
         assert code == 2

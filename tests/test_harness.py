@@ -76,11 +76,23 @@ class TestConfigValidation:
             ({"seed": 1.5}, ValueError, r"seed must be an integer, got 1\.5"),
             ({"p_min": 1.5, "p_max": 2}, ValueError, r"p_min must be an integer, got 1\.5"),
             ({"alphas": 0.05}, ValueError, r"alphas must be a sequence of levels, got 0\.05"),
+            # format_table would print a repeated level twice, rejection_rates count it once
+            ({"alphas": (0.1, 0.1)}, ValueError, r"alphas must not repeat a level, got \(0\.1, 0\.1\)"),
+            ({"model": "ma"}, ValueError, r"model must be a ModelSpec, got 'ma'"),
         ],
-        ids=["fractional-length", "odd-window", "zero-order", "fractional-seed", "fractional-order", "scalar-levels"],
+        ids=[
+            "fractional-length",
+            "odd-window",
+            "zero-order",
+            "fractional-seed",
+            "fractional-order",
+            "scalar-levels",
+            "repeated-levels",
+            "model-name",
+        ],
     )
     def test_config_that_cannot_run(self, settings, error, message):
-        # rejected at construction (by the checks bootstrap_draws runs, or the levels' own), not in run 0
+        # rejected at construction (by the checks bootstrap_draws runs, or the config's own), not in run 0
         with pytest.raises(error, match=f"^{message}$"):
             ExperimentConfig(**{"model": StationaryMA(), "T": 64, "runs": 50, "B": 19, **settings})
 

@@ -82,9 +82,9 @@ def test_every_public_name_has_a_reader():
 GENERATOR_TYPES = {"Philox", "Generator", "default_rng"}
 
 
-def generator_owners(source: str) -> list[str]:
-    """Names of the top-level functions that call a numpy generator constructor
-    (`<module>` for a call outside any function)."""
+def call_owners(source: str, names: set[str]) -> list[str]:
+    """Names of the top-level functions that call a function named in `names`, bare or as an
+    attribute (`<module>` for a call outside any function)."""
     owners = []
     for top in ast.parse(source).body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
@@ -92,9 +92,14 @@ def generator_owners(source: str) -> list[str]:
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in GENERATOR_TYPES:
+                if name in names:
                     owners.append(owner)
     return owners
+
+
+def generator_owners(source: str) -> list[str]:
+    """Names of the top-level functions that call a numpy generator constructor."""
+    return call_owners(source, GENERATOR_TYPES)
 
 
 def test_scan_sees_a_generator_build():
@@ -110,6 +115,22 @@ def test_one_generator_construction_site():
         for owner in generator_owners(p.read_text(encoding="utf-8"))
     }
     assert sites == {("_seeds", "normal_generator")}
+
+
+def test_scan_sees_an_errstate():
+    source = "import numpy as np\ndef f(x):\n    with np.errstate(over='ignore'):\n        return x * x\n"
+    assert call_owners(source, {"errstate"}) == ["f"]
+
+
+def test_one_float64_rule_site():
+    # a series' range is checked in _check_range and its statistics' in _statistics, which the
+    # observed series, every replicate and the surface share; a third errstate block is a third rule
+    sites = {
+        (p.stem, owner)
+        for p in PACKAGE.glob("*.py")
+        for owner in call_owners(p.read_text(encoding="utf-8"), {"errstate"})
+    }
+    assert sites == {("sieve", "_check_range"), ("sieve", "_statistics")}
 
 
 def test_package_reads_no_environment_variable():

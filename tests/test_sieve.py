@@ -127,6 +127,19 @@ class TestAicSelect:
         with pytest.raises(ValueError):
             aic_select(x, 1, 16)  # p_max must stay below T/4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series(self, bad):
+        # the check of run_test's series, not an autocovariance "overflow" of max |x - mean| = nan
+        x = simulate(StationaryMA(), 64, seed=4)
+        x[10] = bad
+        with pytest.raises(ValueError, match="^series contains non-finite values$"):
+            aic_select(x, 1, 4)
+
+    def test_two_dimensional_series(self):
+        # the check of run_test's series, not numpy's matmul core-dimension mismatch
+        with pytest.raises(ValueError, match="^series must be one-dimensional$"):
+            aic_select(np.ones((64, 2)), 1, 4)
+
     def test_constant_series(self):
         # 0.1 and -3.7 do not average back to themselves: gamma(0) ~ 1e-34, not 0
         for value in (1.0, 0.1, -3.7):
@@ -839,6 +852,33 @@ class TestSurfaceOverflow:
         assert not isinstance(info.value, DegenerateSeriesError)
         assert str(info.value) == (
             f"the series' spectral estimates overflow float64 (max |x| = {value:.3g}); rescale the series"
+        )
+
+
+class TestLevelOverflow:
+    """A level far above the spread passes the range check, but overflows the spectral estimates
+    of the observed series (pre) or of its replicates (local): every statistic raises like the
+    surface, instead of a nan statistic or critical value."""
+
+    @pytest.mark.parametrize("level", [1e160, 1e155])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("draw", ["run_test", "full", "curtailed", "batch"])
+    def test_overflowing_level_raises(self, level, estimator, draw):
+        z = simulate(StationaryAR(coeffs=(0.5,)), 128, seed=3)
+        x = level + 1e150 * z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                if draw == "run_test":
+                    run_test(x, N=16, B=19, alpha=0.1, estimator=estimator)
+                elif draw == "batch":
+                    sieve.bootstrap_draws(np.array([z, x]), N=16, B=19, seed=[1, 2], estimator=estimator, alphas=(0.1,))
+                else:
+                    alphas = (0.1,) if draw == "curtailed" else ()
+                    sieve.bootstrap_draws(x, N=16, B=19, seed=1, estimator=estimator, alphas=alphas)
+        assert not isinstance(info.value, DegenerateSeriesError)
+        assert str(info.value) == (
+            f"the series' spectral estimates overflow float64 (max |x| = {level:.3g}); rescale the series"
         )
 
 

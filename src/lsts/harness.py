@@ -140,8 +140,12 @@ def run_experiment(cfg: ExperimentConfig, n_jobs: int = 1) -> ExperimentReport:
     Groups of runs go to up to n_jobs worker processes, at most
     os.cpu_count(); the report is identical for any group size and worker
     count, since each run's draw is its own and `map` keeps run order.
+    n_jobs follows the integer rule of the other counts and must be at least 1.
     """
-    jobs = max(1, min(n_jobs, os.cpu_count() or 1))
+    n_jobs = _integer(n_jobs, "n_jobs")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
+    jobs = min(n_jobs, os.cpu_count() or 1)
     start = time.perf_counter()
     size = _lockstep_runs(cfg.T)
     groups = [range(lo, min(lo + size, cfg.runs)) for lo in range(0, cfg.runs, size)]

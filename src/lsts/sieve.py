@@ -49,10 +49,13 @@ class DegenerateSeriesError(ValueError):
 class ArFit:
     """Fitted autoregression of order p.
 
-    sigma2 is the residual innovation variance, recomputed from the one-step
-    prediction errors with mean centering (not the Levinson-Durbin variance).
-    aic_trace holds the criterion value per candidate order when the fit came
-    from order selection.
+    coeffs is row p-1 of the series' Levinson table (see `_levinson_all`), cut
+    to its p entries.  sigma2 is the residual innovation variance, recomputed
+    from the one-step prediction errors with mean centering (not the
+    Levinson-Durbin variance).  aic_trace holds the criterion value of each of
+    the candidate_orders; every fit the package makes comes from the AIC (a
+    fixed order is the range p..p), so both are set, and only a fit built by
+    hand leaves them None.
     """
 
     order: int
@@ -104,21 +107,22 @@ def autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
     return np.array([xc[: T - h] @ xc[h:] for h in range(max_lag + 1)]) / T
 
 
-def _levinson_all(gamma: np.ndarray, p_max: int) -> list[np.ndarray]:
-    """Levinson-Durbin recursion; returns the coefficient vector of each order."""
-    fits = []
-    a = np.zeros(0)
+def _levinson_all(gamma: np.ndarray, p_max: int) -> np.ndarray:
+    """Levinson-Durbin recursion; returns the zero-padded (p_max, p_max) Levinson table, whose
+    row p-1 holds the order-p coefficients in its first p entries (an `ArFit`'s coeffs)."""
+    table = np.zeros((p_max, p_max))
     pred_var = gamma[0]
     for m in range(1, p_max + 1):
         if pred_var <= 0:
             raise DegenerateSeriesError(
                 f"prediction variance vanished at order {m}; autocovariance not positive definite"
             )
+        a = table[m - 2, : m - 1]
         kappa = (gamma[m] - a @ gamma[m - 1 : 0 : -1]) / pred_var
-        a = np.concatenate([a - kappa * a[::-1], [kappa]])
+        table[m - 1, : m - 1] = a - kappa * a[::-1]
+        table[m - 1, m - 1] = kappa
         pred_var *= 1.0 - kappa * kappa
-        fits.append(a)
-    return fits
+    return table
 
 
 def default_order_range(T: int) -> tuple[int, int]:
@@ -189,7 +193,7 @@ def _aic_rows(X: np.ndarray, p_min: int, p_max: int) -> list[ArFit]:
     R, T = X.shape
     if np.any(np.ptp(X, axis=1) == 0):  # by the spread, not gamma(0): a constant 0.1 leaves gamma(0) ~ 1e-34
         raise DegenerateSeriesError("constant series: autocovariance at lag 0 is zero")
-    all_fits = [_levinson_all(autocovariance(x, p_max), p_max) for x in X]
+    tables = np.array([_levinson_all(autocovariance(x, p_max), p_max) for x in X])
     pgram = stationary_periodogram_all(X)[:, None]
 
     # One block of candidate orders at a time.  resid[k, r] holds run k's one-step
@@ -202,10 +206,7 @@ def _aic_rows(X: np.ndarray, p_min: int, p_max: int) -> list[ArFit]:
     for lo in range(0, len(orders), step):
         block = orders[lo : lo + step]
         n, q = len(block), block[-1]
-        coeffs = np.zeros((R, n, q))
-        for fits, c in zip(all_fits, coeffs):
-            for r, p in enumerate(block):
-                c[r, :p] = fits[p - 1]
+        coeffs = tables[:, block - 1, :q]
         resid = np.repeat(X[:, None], n, axis=1)
         for j in range(1, q + 1):
             first = max(0, j - block[0])
@@ -214,8 +215,7 @@ def _aic_rows(X: np.ndarray, p_min: int, p_max: int) -> list[ArFit]:
         for r, p in enumerate(block):
             z = resid[:, r, p:]
             z -= (z.sum(axis=-1) / (T - p))[:, None]  # each row's z.mean(), bit for bit
-            for k in range(R):
-                s[k, r] = z[k] @ z[k] / (T - p)
+            s[:, r] = (z[:, None] @ z[..., None])[:, 0, 0] / (T - p)  # each row's z @ z, bit for bit
         vanished = np.argwhere(~(s > 0))
         if vanished.size:
             raise DegenerateSeriesError(f"residual variance vanished at order {block[vanished[0, 1]]}")
@@ -231,12 +231,12 @@ def _aic_rows(X: np.ndarray, p_min: int, p_max: int) -> list[ArFit]:
     return [
         ArFit(
             order=int(orders[b]),
-            coeffs=fits[orders[b] - 1],
+            coeffs=table[orders[b] - 1, : orders[b]],
             sigma2=float(sigma2[b]),
             aic_trace=row,
             candidate_orders=orders,
         )
-        for fits, b, sigma2, row in zip(all_fits, best, sigmas, trace)
+        for table, b, sigma2, row in zip(tables, best, sigmas, trace)
     ]
 
 

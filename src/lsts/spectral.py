@@ -56,8 +56,10 @@ def default_window(T: int) -> int:
 
 
 def _integer(value, name: str) -> int:
-    """value as an int: a whole float is that integer; a fractional one, or a sequence, raises
-    ValueError naming it."""
+    """value as an int: a whole float is that integer; a fractional one, a sequence, a string,
+    bytes or None raises ValueError naming it."""
+    if value is None or isinstance(value, (str, bytes)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if np.ndim(value) or not float(value).is_integer():
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(value)

@@ -5,7 +5,7 @@ formulas (double/triple loops, explicit complex sums, direct linear solves),
 deliberately sharing no code path with the package implementations.  The
 exceptions are the two AIC references.  loop_aic_select, the per-order
 reference for the batched AIC, reuses the package's autocovariance, Levinson
-fits and periodogram, and checks only how the residuals and the criterion are
+table and periodogram, and checks only how the residuals and the criterion are
 assembled over orders.  per_series_aic_select is the package's earlier
 one-series AIC, kept as the bit-for-bit reference of the fits over a batch of
 series.
@@ -172,14 +172,14 @@ def loop_aic_select(x, p_min, p_max):
     gamma = autocovariance(x, p_max)
     if gamma[0] == 0.0:
         raise DegenerateSeriesError("constant series: autocovariance at lag 0 is zero")
-    all_fits = _levinson_all(gamma, p_max)
+    table = _levinson_all(gamma, p_max)
     pgram = stationary_periodogram_all(x)
 
     orders = np.arange(p_min, p_max + 1)
     trace = np.empty(len(orders))
     sigmas = np.empty(len(orders))
     for i, p in enumerate(orders):
-        coeffs = all_fits[p - 1]
+        coeffs = table[p - 1, :p]
         z = x[p:].copy()
         for j in range(1, p + 1):
             z -= coeffs[j - 1] * x[p - j : T - j]
@@ -199,7 +199,7 @@ def loop_aic_select(x, p_min, p_max):
     p = int(orders[best])
     return ArFit(
         order=p,
-        coeffs=all_fits[p - 1],
+        coeffs=table[p - 1, :p],
         sigma2=float(sigmas[best]),
         aic_trace=trace,
         candidate_orders=orders,
@@ -218,7 +218,7 @@ def per_series_aic_select(x, p_min, p_max):
     _check_range(x)
     if np.ptp(x) == 0:
         raise DegenerateSeriesError("constant series: autocovariance at lag 0 is zero")
-    all_fits = _levinson_all(autocovariance(x, p_max), p_max)
+    table = _levinson_all(autocovariance(x, p_max), p_max)
     pgram = stationary_periodogram_all(x)
 
     orders = np.arange(p_min, p_max + 1)
@@ -230,7 +230,7 @@ def per_series_aic_select(x, p_min, p_max):
         n, q = len(block), block[-1]
         coeffs = np.zeros((n, q))
         for r, p in enumerate(block):
-            coeffs[r, :p] = all_fits[p - 1]
+            coeffs[r, :p] = table[p - 1, :p]
         resid = np.tile(x, (n, 1))
         for j in range(1, q + 1):
             first = max(0, j - block[0])
@@ -255,7 +255,7 @@ def per_series_aic_select(x, p_min, p_max):
     p = int(orders[best])
     return ArFit(
         order=p,
-        coeffs=all_fits[p - 1],
+        coeffs=table[p - 1, :p],
         sigma2=float(sigmas[best]),
         aic_trace=trace,
         candidate_orders=orders,

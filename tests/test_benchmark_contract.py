@@ -12,6 +12,7 @@ so a renamed or removed public name fails here before it breaks a benchmark run.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -19,17 +20,20 @@ from pathlib import Path
 
 import pytest
 
+from lsts import StationaryAR, simulate
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # run.py's dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = _tracer()
+TRACER = _perfbench("tracer")
 
 
 @pytest.mark.parametrize("module,attr", TRACER.SPANS, ids=[f"{m}.{a}" for m, a in TRACER.SPANS])
@@ -98,3 +102,29 @@ def test_package_attribute_resolves(module, attr):
     package_module = module == "lsts" and importlib.util.find_spec(f"lsts.{attr}") is not None
     found = hasattr(importlib.import_module(module), attr) or package_module
     assert found, f"perfbench reads {module}.{attr}, which does not exist"
+
+
+def test_traced_result_keeps_every_declared_metric(monkeypatch):
+    # the names a traced run prints when no binding is missing, from the runner's own per_layer;
+    # a declared metric outside them drops out of every traced result
+    monkeypatch.setitem(sys.modules, "tracer", TRACER)  # per_layer imports the tracer by that name
+    run = _perfbench("run")
+    records = [run.Record(0, 1.0), run.Record(0, 1.5, traced=True, unwrapped=0.5)]
+    printable = run.per_layer(TRACER.Tracer(), records, {name: 0.1 for name in TRACER.IMPORTS})
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]]
+    assert [name for name in declared if name not in printable] == []
+
+
+# span -> a call of its binding on a small input, for the counters read off its result
+COUNTED_CALLS = {
+    "sieve.aic_select": lambda aic_select: aic_select(simulate(StationaryAR(coeffs=(0.5,)), 64, 1), 1, 4),
+}
+
+
+@pytest.mark.parametrize("span", sorted(TRACER.COUNTERS))
+def test_counter_reads_an_int(span):
+    # the tracer lists a counter whose getter fails as missing, and its metric drops out
+    module, attr = span.split(".")
+    result = COUNTED_CALLS[span](getattr(importlib.import_module(f"lsts.{module}"), attr))
+    for counter, read in TRACER.COUNTERS[span].items():
+        assert type(read(result)) is int, f"{span}.{counter}"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,18 @@ class TestConfigValidation:
         assert (cfg.runs, cfg.B) == (50, 19) and type(cfg.runs) is type(cfg.B) is int
         whole = ExperimentConfig(model=StationaryMA(), T=64, runs=50, B=19)
         assert run_experiment(cfg).to_dict() | {"wall_time": 0} == run_experiment(whole).to_dict() | {"wall_time": 0}
+
+    @pytest.mark.parametrize("value", ["60", b"60", None, "abc"], ids=["digits", "bytes", "none", "letters"])
+    @pytest.mark.parametrize(
+        "field, name",
+        [("runs", "runs"), ("T", "series length T"), ("seed", "seed"), ("B", "B")],
+        ids=["runs", "T", "seed", "B"],
+    )
+    def test_non_number_count_names_it(self, field, name, value):
+        # a string that reads as a number is not one: every count takes numbers only
+        settings = {"model": StationaryMA(), "T": 64, "runs": 50, "B": 19, field: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            ExperimentConfig(**settings)
 
     @pytest.mark.parametrize(
         "settings, error, message",
@@ -226,6 +239,24 @@ class TestRunExperiment:
         capped = run_experiment(cfg, n_jobs=64)
         assert calls == [run_seed(cfg.seed, i) for i in range(cfg.runs)]
         assert np.array_equal(capped.statistics, report.statistics)
+
+    @pytest.mark.parametrize(
+        "n_jobs, message",
+        [
+            (None, "must be an integer, got None"),
+            ("2", "must be an integer, got '2'"),
+            (b"2", "must be an integer, got b'2'"),
+            (2.5, r"must be an integer, got 2\.5"),
+            (0, "must be at least 1, got 0"),
+            (-1, "must be at least 1, got -1"),
+        ],
+        ids=["none", "digits", "bytes", "fractional", "zero", "negative"],
+    )
+    def test_worker_count_names_it(self, monkeypatch, small_report, n_jobs, message):
+        # rejected before any run starts: a fractional count started that many workers, rounded down
+        monkeypatch.setattr(harness, "_run_group", lambda cfg, indices: pytest.fail("a run started"))
+        with pytest.raises(ValueError, match=f"^n_jobs {message}$"):
+            run_experiment(small_report[0], n_jobs=n_jobs)
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_report_independent_of_group_size(self, monkeypatch, small_report, n_jobs):

@@ -206,8 +206,8 @@ class TestAicSelect:
         # constant residuals; order 1 is fitted with 0.25 and keeps a positive
         # variance, so the first vanishing order is 2
         x = 2.0 - 2.0 ** -np.arange(48.0)
-        fits = [np.array([0.25]), np.array([0.5, 0.0]), np.array([0.5, 0.0, 0.0])]
-        monkeypatch.setattr(sieve, "_levinson_all", lambda gamma, p_max: fits[:p_max])
+        table = np.array([[0.25, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        monkeypatch.setattr(sieve, "_levinson_all", lambda gamma, p_max: table[:p_max, :p_max])
         with pytest.raises(DegenerateSeriesError, match="vanished at order 2$"):
             aic_select(x, 1, 3)
         with pytest.raises(DegenerateSeriesError, match="vanished at order 3$"):
@@ -767,6 +767,26 @@ class TestDrawsInputChecks:
         x = simulate(StationaryMA(), 64, seed=18)
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {settings[name]}$"):
             run_test(x, N=8, B=19, alpha=0.1, **settings)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            pytest.param(name, value, id=f"{name}-{kind}")
+            for name in ("B", "seed", "p_min", "p_max")
+            for kind, value in {"digits": "3", "bytes": b"3", "none": None, "letters": "abc"}.items()
+            if not (value is None and name.startswith("p_"))
+        ],
+    )
+    def test_non_number_integer_argument_names_it(self, name, value):
+        # a string that reads as a number is not one, in the library as in the harness; None is
+        # no count either, except for an order, where it asks for the default range
+        x = simulate(StationaryMA(), 64, seed=18)
+        settings = {"B": 19, "seed": 3, "p_min": 1, "p_max": 3, name: value}
+        message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            run_test(x, N=8, alpha=0.1, **settings)
+        with pytest.raises(ValueError, match=message):
+            sieve.bootstrap_draws(x, N=8, **settings)
 
     def test_whole_float_seed_and_orders(self):
         x = simulate(StationaryMA(), 64, seed=18)

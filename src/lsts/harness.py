@@ -25,7 +25,7 @@ import numpy as np
 
 from ._seeds import run_seed
 from .models import ModelSpec, simulate
-from .sieve import TestDraws, _layout, _lockstep_runs, bootstrap_draws, decide, order_statistic_index
+from .sieve import TestDraws, _layout, _levels, _lockstep_runs, bootstrap_draws, decide, order_statistic_index
 from .spectral import _integer
 
 
@@ -43,9 +43,7 @@ class ExperimentConfig:
     p_max: int | None = None
 
     def __post_init__(self):
-        if np.ndim(self.alphas) != 1:
-            raise ValueError(f"alphas must be a sequence of levels, got {self.alphas!r}")
-        self.alphas = tuple(float(a) for a in self.alphas)
+        self.alphas = _levels(self.alphas)
         if len(set(self.alphas)) < len(self.alphas):
             raise ValueError(f"alphas must not repeat a level, got {self.alphas}")
         if not isinstance(self.model, ModelSpec):
@@ -59,8 +57,8 @@ class ExperimentConfig:
         self.seed = _integer(self.seed, "seed")
         with warnings.catch_warnings():  # a truncated tail is reported by the runs that drop it
             warnings.simplefilter("ignore")
-            _layout(self.T, self.N, self.estimator, self.p_min, self.p_max)  # bootstrap_draws' checks
-        if self.estimator == "pre":  # window-free: report no N, as run_test does
+            grid, _ = _layout(self.T, self.N, self.estimator, self.p_min, self.p_max)  # bootstrap_draws' checks
+        if grid.N is None:  # window-free: report no N, as run_test does
             self.N = None
         for a in self.alphas:  # the (B, alpha) rule of run_test
             order_statistic_index(self.B, a)
@@ -69,7 +67,7 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
-    """Rates per alpha over the runs; N and M are the grid all runs shared, None for pre."""
+    """Rates per alpha over the runs; N and M are the grid all runs shared, None if window-free (pre)."""
 
     config: ExperimentConfig
     N: int | None

@@ -27,6 +27,7 @@ from .spectral import (
     SpectralGrid,
     _block_periodograms,
     _integer,
+    _number,
     make_grid,
     pre_periodogram_matrix,
     stationary_periodogram_all,
@@ -69,11 +70,11 @@ class ArFit:
 class TestDraws:
     """Observed statistic and bootstrap replicates, before any alpha is chosen.
 
-    T is the length the statistic saw; N and M are the window and block count
-    of the local grid, None for pre.  B is the full replicate count; a draw
-    curtailed at its levels (see `bootstrap_draws`) holds only the first
-    len(replicates) <= B of them, which fix its decisions but not its
-    critical value or p-value.
+    T is the length the statistic saw.  N and M are the window and block
+    count of the grid it saw (see `_layout`): None on the pre estimator's
+    window-free grid.  B is the full replicate count; a draw curtailed at its
+    levels (see `bootstrap_draws`) holds only the first len(replicates) <= B
+    of them, which fix its decisions but not its critical value or p-value.
     """
 
     statistic: float
@@ -279,8 +280,7 @@ def _replicate_statistics(
     fits: list[ArFit],
     B: int,
     seeds: list[int],
-    estimator: str,
-    grid: SpectralGrid | None,
+    grid: SpectralGrid,
     statistics: np.ndarray | None = None,
     ks: tuple[int, ...] = (),
 ) -> list[np.ndarray]:
@@ -308,7 +308,7 @@ def _replicate_statistics(
         hi = min(lo + step, B)
         blocks = [next(streams[r]) for r in live]
         rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # one run: no copy
-        stats[live, lo:hi] = _statistics(rows, estimator, grid).reshape(len(live), hi - lo)
+        stats[live, lo:hi] = _statistics(rows, grid).reshape(len(live), hi - lo)
         if ks:
             for r in live:
                 below[r] += int(np.count_nonzero(stats[r, lo:hi] < statistics[r]))
@@ -320,27 +320,27 @@ def _replicate_statistics(
     return [row[:n] for row, n in zip(stats, drawn)]
 
 
-def _estimates(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> tuple[np.ndarray, int]:
-    """Spectral estimates of an (R, T) batch and the distance process's denominator:
-    block periodograms and T (local), or the pre-periodogram matrix and T*T (pre)."""
+def _estimates(rows: np.ndarray, grid: SpectralGrid) -> tuple[np.ndarray, int]:
+    """Spectral estimates of an (R, T) batch on its grid and the distance process's denominator:
+    block periodograms and T, or on a window-free grid the pre-periodogram matrix and T*T."""
     R, T = rows.shape
-    if estimator == "local":
-        return _block_periodograms(rows.reshape(R, grid.M, grid.N)), T
-    return pre_periodogram_matrix(rows), T * T
+    if grid.N is None:
+        return pre_periodogram_matrix(rows), T * T
+    return _block_periodograms(rows.reshape(R, grid.M, grid.N)), T
 
 
-def _statistics(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> np.ndarray:
-    """Sup-statistics of the rows of an (R, T) batch; the observed series is a batch of one.
-    Pre rows run in chunks of _PRE_CHUNK_BYTES; rows never mix, so batching changes no bit.
-    The one float64 rule: estimates that overflow (a level far above the spread) raise ValueError."""
+def _statistics(rows: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Sup-statistics of the rows of an (R, T) batch on grid; the observed series is a batch of one.
+    A window-free grid's rows run in chunks of _PRE_CHUNK_BYTES; rows never mix, so batching changes
+    no bit.  The one float64 rule: estimates that overflow (a level far above the spread) raise ValueError."""
     R, T = rows.shape
-    step = R if estimator == "local" else _block_rows(8 * T * T, _PRE_CHUNK_BYTES)
+    step = _block_rows(8 * T * T, _PRE_CHUNK_BYTES) if grid.N is None else R
     stats = np.empty(R)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, R, step):
             # `estimates` keeps this chunk's arrays until the next chunk replaces them: freed earlier,
             # glibc returns their pages to the OS and faults them in again (T=256 pre: ~35 % slower)
-            estimates = _estimates(rows[lo : lo + step], estimator, grid)
+            estimates = _estimates(rows[lo : lo + step], grid)
             stats[lo : lo + step] = sup_statistic(distance_values(*estimates), T)
     if not np.all(np.isfinite(stats)):
         big = np.abs(rows[~np.isfinite(stats)]).max()
@@ -349,26 +349,30 @@ def _statistics(rows: np.ndarray, estimator: str, grid: SpectralGrid | None) -> 
 
 
 def _layout(T: int, N: int | None, estimator: str, p_min=None, p_max=None):
-    """(grid, T the statistic sees, AIC order range) of a length-T series: the grid is None for
-    pre, and the local estimator drops the tail past a multiple of N (see `make_grid`).  These
-    are the checks that `bootstrap_draws` runs on a series and `ExperimentConfig` on its settings."""
+    """(grid, AIC order range) of a length-T series; grid.T is the length the statistic sees.  Only
+    here is the estimator named: local is `make_grid(T, N)`, which drops the tail past a multiple
+    of N; pre is window-free (see `SpectralGrid`) and ignores N.  These are the checks that
+    `bootstrap_draws` runs on a series and `ExperimentConfig` on its settings."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    grid = make_grid(T, N) if estimator == "local" else None
-    T = grid.T if grid is not None else _integer(T, "series length T")
-    if T < 8:
-        raise ValueError(f"series too short: T={T}")
-    lo, hi = default_order_range(T)
-    return grid, T, _order_range(T, lo if p_min is None else p_min, hi if p_max is None else p_max)
+    if estimator == "local":
+        grid = make_grid(T, N)
+    else:
+        T = _integer(T, "series length T")
+        grid = SpectralGrid(T, None, None, np.arange(1, T + 1) / T, TWO_PI * np.arange(1, T // 2 + 1) / T)
+    if grid.T < 8:
+        raise ValueError(f"series too short: T={grid.T}")
+    lo, hi = default_order_range(grid.T)
+    return grid, _order_range(grid.T, lo if p_min is None else p_min, hi if p_max is None else p_max)
 
 
 def _observed(x: np.ndarray, N: int | None, estimator: str, p_min=None, p_max=None, ndim: int = 1):
     """The checked series (an (R, T) batch of them if ndim is 2) as the statistic sees it, with
     the grid and the AIC order range of `_layout`."""
     x = _series(x, ndim)
-    grid, T, orders = _layout(x.shape[-1], N, estimator, p_min, p_max)
-    x = x[..., :T]
-    for row in x.reshape(-1, T):
+    grid, orders = _layout(x.shape[-1], N, estimator, p_min, p_max)
+    x = x[..., : grid.T]
+    for row in x.reshape(-1, grid.T):
         _check_range(row)
     return x, grid, orders
 
@@ -376,18 +380,13 @@ def _observed(x: np.ndarray, N: int | None, estimator: str, p_min=None, p_max=No
 def distance_process(x: np.ndarray, N: int | None = None, estimator: str = "local") -> DistanceProcess:
     """Distance process of the series; its sup_stat and float64 rule are `run_test`'s, from `_statistics`.
 
-    Local: at the block midpoints and lambda_1..lambda_{N/2} of `make_grid(T, N)`.
-    Pre: at t/T, t = 1..T, and 2 pi k/T, k = 1..T//2; N is ignored.
+    Its times and frequencies are `_layout`'s grid: local, the block midpoints and lambda_1..lambda_{N/2}
+    of `make_grid(T, N)`; pre, t/T (t = 1..T) and 2 pi k/T (k = 1..T//2), ignoring N.
     """
     x, grid, _ = _observed(x, N, estimator)
-    T = x.shape[0]
-    sup_stat = float(_statistics(x[None], estimator, grid)[0])
-    values = distance_values(*_estimates(x[None], estimator, grid))[0]
-    if grid is not None:
-        times, freqs = grid.midpoints, grid.frequencies
-    else:
-        times, freqs = np.arange(1, T + 1) / T, TWO_PI * np.arange(1, T // 2 + 1) / T
-    return DistanceProcess(values, times, freqs, sup_stat)
+    sup_stat = float(_statistics(x[None], grid)[0])
+    values = distance_values(*_estimates(x[None], grid))[0]
+    return DistanceProcess(values, grid.midpoints, grid.frequencies, sup_stat)
 
 
 def bootstrap_draws(
@@ -414,7 +413,7 @@ def bootstrap_draws(
     series per numpy call.
     """
     B = _replicate_count(B)
-    ks = tuple(order_statistic_index(B, a) for a in alphas)
+    ks = tuple(order_statistic_index(B, a) for a in _levels(alphas))
     batch = np.ndim(seed) > 0
     seeds = [_integer(s, "seed") for s in (seed if batch else [seed])]
     x, grid, orders = _observed(x, N, estimator, p_min, p_max, ndim=1 + batch)
@@ -423,15 +422,15 @@ def bootstrap_draws(
         raise ValueError(f"a batch needs one seed per series, got {len(seeds)} seeds for {X.shape[0]} series")
 
     fits = _aic_rows(X, *orders)
-    statistics = _statistics(X, estimator, grid)
-    replicates = _replicate_statistics(X, fits, B, seeds, estimator, grid, statistics, ks)
+    statistics = _statistics(X, grid)
+    replicates = _replicate_statistics(X, fits, B, seeds, grid, statistics, ks)
     draws = [
         TestDraws(
             statistic=float(statistic),
             replicates=reps,
             T=X.shape[1],
-            N=grid.N if grid is not None else None,
-            M=grid.M if grid is not None else None,
+            N=grid.N,
+            M=grid.M,
             B=B,
             order=fit.order,
             seed=s,
@@ -450,9 +449,16 @@ def _replicate_count(B) -> int:
     return B
 
 
+def _levels(alphas) -> tuple[float, ...]:
+    """A sequence of levels as floats, each one number (`order_statistic_index` checks the rest)."""
+    if isinstance(alphas, (str, bytes)) or not np.iterable(alphas):
+        raise ValueError(f"alphas must be a sequence of levels, got {alphas!r}")
+    return tuple(_number(a, "alpha", "in (0, 1)") for a in alphas)
+
+
 def order_statistic_index(B: int, alpha: float) -> int:
     """1-based index floor((1-alpha) B) of the bootstrap order statistic; the one (B, alpha) check."""
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _number(alpha, "alpha", "in (0, 1)") < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     B = _replicate_count(B)
     k = int(np.floor((1.0 - alpha) * B + 1e-9))

@@ -22,22 +22,22 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class BadWindowError(ValueError):
-    """Window length N is odd, too small, or leaves fewer than two blocks."""
+    """Window length N is not an even integer >= 4, or leaves fewer than two blocks."""
 
 
 @dataclass
 class SpectralGrid:
-    """Block/frequency discretization T = N*M.
+    """Time/frequency grid of a length-T series' spectral estimates.
 
-    Block midpoints u_j = (N(j-1) + N/2)/T for j = 1..M and frequencies
-    lambda_k = 2 pi k / N for k = 1..N/2 (so lambda_{N/2} = pi exactly).
-    The local periodogram at (u_j, lambda_k) is the periodogram of block j,
-    stationary_periodogram_all(x[:T].reshape(M, N))[j-1, k-1].
+    Local (`make_grid`): T = N*M, block midpoints u_j = (N(j-1) + N/2)/T for j = 1..M and
+    frequencies lambda_k = 2 pi k / N for k = 1..N/2 (so lambda_{N/2} = pi exactly); the local
+    periodogram at (u_j, lambda_k) is stationary_periodogram_all(x[:T].reshape(M, N))[j-1, k-1].
+    Window-free (pre): N = M = None, midpoints t/T for t = 1..T, frequencies 2 pi k/T for k = 1..T//2.
     """
 
     T: int
-    N: int
-    M: int
+    N: int | None
+    M: int | None
     midpoints: np.ndarray
     frequencies: np.ndarray
 
@@ -55,25 +55,35 @@ def default_window(T: int) -> int:
     return min(candidates, key=lambda n: (T % n != 0, abs(n - target), -n))
 
 
-def _integer(value, name: str) -> int:
-    """value as an int: a whole float is that integer; a fractional one, a sequence, a string,
-    bytes or None raises ValueError naming it."""
-    if value is None or isinstance(value, (str, bytes)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if np.ndim(value) or not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value}")
+def _number(value, name: str, rule: str, error: type[ValueError] = ValueError) -> float:
+    """value as a float if it is one real number; a string, bytes, None, a sequence or any
+    other non-number raises `error` ("{name} must be {rule}, got ...") naming it."""
+    try:
+        if not isinstance(value, (str, bytes)) and np.ndim(value) == 0:
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def _integer(value, name: str, rule: str = "an integer", error: type[ValueError] = ValueError) -> int:
+    """value as an int: a whole number is that integer; a fractional one or a non-number
+    (see `_number`) raises `error` naming it."""
+    if not _number(value, name, rule, error).is_integer():
+        raise error(f"{name} must be {rule}, got {value}")
     return int(value)
 
 
 def make_grid(T: int, N: int | None = None) -> SpectralGrid:
-    """Block grid of a length-T series: N (default_window(T) if omitted) must be even,
-    at least 4 and leave two blocks; a tail past a multiple of N is dropped with a warning
-    that names the first caller outside the package."""
+    """Block grid of a length-T series: N (default_window(T) if omitted) must be an even
+    integer, at least 4, and leave two blocks; a tail past a multiple of N is dropped with a
+    warning that names the first caller outside the package."""
     T = _integer(T, "series length T")
-    N = default_window(T) if N is None else N
-    if not float(N).is_integer() or int(N) % 2 or int(N) < 4:
-        raise BadWindowError(f"N must be an even integer >= 4, got {N}")
-    N = int(N)
+    rule = "an even integer >= 4"
+    n = default_window(T) if N is None else _integer(N, "N", rule, BadWindowError)
+    if n % 2 or n < 4:
+        raise BadWindowError(f"N must be {rule}, got {N}")
+    N = n
     M = T // N
     if M < 2:
         raise BadWindowError(f"N={N} leaves {M} block(s) for T={T}; need at least 2")

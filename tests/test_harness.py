@@ -89,6 +89,10 @@ class TestConfigValidation:
             ({"seed": 1.5}, ValueError, r"seed must be an integer, got 1\.5"),
             ({"p_min": 1.5, "p_max": 2}, ValueError, r"p_min must be an integer, got 1\.5"),
             ({"alphas": 0.05}, ValueError, r"alphas must be a sequence of levels, got 0\.05"),
+            ({"alphas": ("0.05",)}, ValueError, r"alpha must be in \(0, 1\), got '0\.05'"),
+            ({"alphas": (0.05, None)}, ValueError, r"alpha must be in \(0, 1\), got None"),
+            ({"N": "abc"}, BadWindowError, "N must be an even integer >= 4, got 'abc'"),
+            ({"N": "16"}, BadWindowError, "N must be an even integer >= 4, got '16'"),
             # format_table would print a repeated level twice, rejection_rates count it once
             ({"alphas": (0.1, 0.1)}, ValueError, r"alphas must not repeat a level, got \(0\.1, 0\.1\)"),
             ({"model": "ma"}, ValueError, r"model must be a ModelSpec, got 'ma'"),
@@ -100,6 +104,10 @@ class TestConfigValidation:
             "fractional-seed",
             "fractional-order",
             "scalar-levels",
+            "string-level",
+            "none-level",
+            "letters-window",
+            "digits-window",
             "repeated-levels",
             "model-name",
         ],

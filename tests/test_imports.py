@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import lsts
+from lsts.sieve import ESTIMATORS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lsts"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -131,6 +132,39 @@ def test_one_float64_rule_site():
         for owner in call_owners(p.read_text(encoding="utf-8"), {"errstate"})
     }
     assert sites == {("sieve", "_check_range"), ("sieve", "_statistics")}
+
+
+def estimator_comparisons(source: str) -> list[str]:
+    """Names of the top-level functions and classes that compare a value against an estimator's
+    name (a string in ESTIMATORS, or ESTIMATORS itself)."""
+    def names_estimator(node):
+        return (isinstance(node, ast.Constant) and node.value in ESTIMATORS) or (
+            isinstance(node, ast.Name) and node.id == "ESTIMATORS"
+        )
+
+    owners = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(map(names_estimator, [node.left, *node.comparators])):
+                owners.append(owner)
+    return owners
+
+
+def test_scan_sees_an_estimator_comparison():
+    source = 'def f(e, grid):\n    return e == "pre" or grid.N is None\nclass C:\n    ok = "local" != e in ESTIMATORS\n'
+    assert estimator_comparisons(source) == ["f", "C"]
+
+
+def test_one_place_names_the_estimator():
+    # _layout turns the estimator's name into a grid; everything past it reads the grid, so a
+    # second comparison is a second place that knows which estimator needs which spectra
+    sites = {
+        (p.stem, owner)
+        for p in PACKAGE.glob("*.py")
+        for owner in estimator_comparisons(p.read_text(encoding="utf-8"))
+    }
+    assert sites == {("sieve", "_layout")}
 
 
 def test_package_reads_no_environment_variable():

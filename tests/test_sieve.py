@@ -330,7 +330,7 @@ class TestReplicateStream:
         expected = sup_statistic(
             distance_values(_block_periodograms(series.reshape(B, grid.M, grid.N)), T), T
         )
-        [got] = _replicate_statistics(x[None], [fit], B, [seed], "local", grid)
+        [got] = _replicate_statistics(x[None], [fit], B, [seed], grid)
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("T", [33, 64])
@@ -342,7 +342,8 @@ class TestReplicateStream:
         fit = aic_select(x, p, p) if p else ArFit(order=0, coeffs=np.zeros(0), sigma2=float(x.var()))
         series = _contract_series(x, fit, B, seed)
         expected = sup_statistic(distance_values(take_pre_periodogram_matrix(series), T * T), T)
-        [got] = _replicate_statistics(x[None], [fit], B, [seed], "pre", None)
+        grid, _ = sieve._layout(T, None, "pre")
+        [got] = _replicate_statistics(x[None], [fit], B, [seed], grid)
         assert np.array_equal(got, expected)
 
     def test_pre_statistics_independent_of_chunk_budget(self, monkeypatch):
@@ -475,14 +476,13 @@ class TestStatisticRowProperty:
     )
     def test_row_equals_batch_of_one(self, T, N, R, seed, a, log_c, estimator):
         # the observed series goes through _statistics as a batch of one row
-        grid = None
         if estimator == "local":
             T -= T % N
-            grid = make_grid(T, N)
+        grid, _ = sieve._layout(T, N, estimator)
         rows = a + 10.0**log_c * np.random.default_rng(seed).standard_normal((R, T))
-        batch = sieve._statistics(rows, estimator, grid)
+        batch = sieve._statistics(rows, grid)
         for i in range(R):
-            assert batch[i] == sieve._statistics(rows[i : i + 1], estimator, grid)[0]
+            assert batch[i] == sieve._statistics(rows[i : i + 1], grid)[0]
 
 
 class TestPreStatisticProperty:
@@ -607,6 +607,31 @@ class TestRunTest:
         x = simulate(StationaryMA(), 128, seed=18)
         with pytest.raises(BadWindowError, match=rf"^N must be an even integer >= 4, got {N}$"):
             run_test(x, N=N, B=9)
+
+    @pytest.mark.parametrize("N", ["abc", "8", b"8"], ids=["letters", "digits", "bytes"])
+    def test_non_number_window_rejected(self, N):
+        x = simulate(StationaryMA(), 64, seed=18)
+        with pytest.raises(BadWindowError, match=rf"^N must be an even integer >= 4, got {re.escape(repr(N))}$"):
+            run_test(x, N=N, B=9)
+
+    @pytest.mark.parametrize(
+        "alpha", ["0.05", b"0.05", None, [0.05], np.array([0.05, 0.1])], ids=["digits", "bytes", "none", "list", "array"]
+    )
+    def test_non_number_level_names_alpha(self, alpha):
+        x = simulate(StationaryMA(), 64, seed=18)
+        message = rf"^alpha must be in \(0, 1\), got {re.escape(repr(alpha))}$"
+        with pytest.raises(ValueError, match=message):
+            run_test(x, N=8, B=19, alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            sieve.bootstrap_draws(x, N=8, B=19, alphas=(0.1, alpha))
+        with pytest.raises(ValueError, match=message):
+            decide(1.0, np.zeros(19), alpha)
+
+    def test_scalar_levels_rejected(self):
+        # ExperimentConfig's rule, through the same code
+        x = simulate(StationaryMA(), 64, seed=18)
+        with pytest.raises(ValueError, match=r"^alphas must be a sequence of levels, got 0\.05$"):
+            sieve.bootstrap_draws(x, N=8, B=19, alphas=0.05)
 
     @pytest.mark.parametrize("N", [16.0, np.int64(16)])
     def test_integral_window_of_any_type_accepted(self, N):

@@ -1,19 +1,22 @@
 """Pinned seeded outputs of the AR sieve.
 
-The AIC fits, one full bootstrap test per estimator and one curtailed batch
-draw are fixed bit for bit, as test_model_pins fixes the models, so a change
-in how the sieve is organised cannot move a seeded number unnoticed.  Arrays
+The AIC fits, one full bootstrap test per estimator, one curtailed batch
+draw, and each estimator's distance surface with the grid that `_layout`
+gives it are fixed bit for bit, as test_model_pins fixes the models, so a
+change in how the sieve is organised cannot move a seeded number unnoticed.  Arrays
 are pinned by the SHA-256 of their float64 bytes, scalars by their exact
 value.  The pins hold for the numpy and scipy builds the package is tested
 with; an upgrade that moves a ufunc's last bit shows up here first.
 """
 
 import hashlib
+import io
+import warnings
 
 import numpy as np
 import pytest
 
-from lsts import PiecewiseAR1, StationaryAR, StationaryMA, aic_select, run_test, simulate
+from lsts import PiecewiseAR1, StationaryAR, StationaryMA, aic_select, distance_process, run_test, simulate
 from lsts.sieve import bootstrap_draws, default_order_range
 
 SEED = 20261018
@@ -110,3 +113,66 @@ def test_run_test(estimator):
 
 def test_curtailed_batch_draws():
     assert batch_pins() == BATCH_PINS
+
+
+# (T, N, estimator) of each pinned surface: the default window, a window that drops a tail of two,
+# and the window-free pre grid at an odd and an even length
+SURFACES = [(256, None, "local"), (130, 16, "local"), (33, None, "pre"), (64, None, "pre")]
+
+
+def surface_pin(T: int, N: int | None, estimator: str) -> tuple:
+    """(CSV bytes, times, frequencies, sup_stat) of the distance process of an AR(1) path."""
+    x = simulate(StationaryAR(coeffs=(0.5,)), T, SEED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # T=130, N=16 truncates its tail; test_sieve checks the warning
+        d = distance_process(x, N, estimator)
+    csv = io.StringIO()
+    d.to_csv(csv)
+    return hashlib.sha256(csv.getvalue().encode()).hexdigest(), sha256(d.times), sha256(d.frequencies), d.sup_stat
+
+
+# SURFACES[i] -> surface_pin(*SURFACES[i])
+SURFACE_PINS = [
+    (
+        "082f95ba618f64393fd34da70a73d40b9d8f42e9c5bb990964dffd64d9d1b706",
+        "9ecaeb4868581c193065152583c5b82640d2f9bd9bdc7a6a0bd08840a11e78f4",
+        "747d42b38763b7fc1e7332a86e3fc84f829da92792b4429209a994184cb7ad29",
+        0.31936027730750405,
+    ),
+    (
+        "d5fe949f911761aa613ce97fc54644b02b6ebdd89b9ee44734577630cca01f60",
+        "9ecaeb4868581c193065152583c5b82640d2f9bd9bdc7a6a0bd08840a11e78f4",
+        "264700922a72bda8ea03b4e46d3db30bf94a89add8712d09e4c91bea3248920c",
+        0.12563630123075945,
+    ),
+    (
+        "9729d32ff3381601bd4da3221e1e051d9516be4c515aa72a98935d50bc907f95",
+        "8369c4c925b70e7d899ea72dc6672a01bd6f15f20a7d085481567a70d4f5ac19",
+        "0d1b86dfead8e34d16c5753f2f981d3ede0216f9bf31ecf2c616789141ea7724",
+        0.22246724644511576,
+    ),
+    (
+        "58267b3abfaf3c8613776be6be8380b559b2c82566145d00c8c7294eaca77025",
+        "ce7442cce3624b0600d829002baaa2404797555f2c38e105f57d2ae07f932a39",
+        "063f21184751a2548066306773633bb60a339838c8b7a76c94be7abc0d68c318",
+        0.17060882392821336,
+    ),
+]
+
+# SURFACES[i] -> (T, N, M) of bootstrap_draws on the same series
+DRAW_GRIDS = [(256, 32, 8), (128, 16, 8), (33, None, None), (64, None, None)]
+
+
+@pytest.mark.parametrize("case", range(len(SURFACES)), ids=[f"{e}-T{T}-N{N}" for T, N, e in SURFACES])
+def test_distance_surface(case):
+    assert surface_pin(*SURFACES[case]) == SURFACE_PINS[case]
+
+
+@pytest.mark.parametrize("case", range(len(SURFACES)), ids=[f"{e}-T{T}-N{N}" for T, N, e in SURFACES])
+def test_draw_grid(case):
+    T, N, estimator = SURFACES[case]
+    x = simulate(StationaryAR(coeffs=(0.5,)), T, SEED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        d = bootstrap_draws(x, N=N, B=9, seed=SEED, estimator=estimator)
+    assert (d.T, d.N, d.M) == DRAW_GRIDS[case]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,12 @@ class TestMakeGrid:
     @pytest.mark.parametrize("N", [8.9, 16.5, np.float64(7.5)])
     def test_fractional_window(self, N):
         with pytest.raises(BadWindowError, match=rf"^N must be an even integer >= 4, got {N}$"):
+            make_grid(128, N)
+
+    @pytest.mark.parametrize("N", ["abc", "8", b"8", [8], {}], ids=["letters", "digits", "bytes", "list", "dict"])
+    def test_non_number_window(self, N):
+        # the integer rule of T, B and the seed: a string that reads as a number is not one
+        with pytest.raises(BadWindowError, match=rf"^N must be an even integer >= 4, got {re.escape(repr(N))}$"):
             make_grid(128, N)
 
     def test_fractional_length(self):
